@@ -429,8 +429,8 @@ class _SessionJournal:
         placement = session.placement
         self._overload = placement.overload_accepted
         self._undos: List[Callable[[], None]] = []
-        self._node_buckets: Dict[str, Tuple[Optional[List[SubReplicaPlacement]], Optional[float]]] = {}
-        self._replica_buckets: Dict[str, Optional[List[SubReplicaPlacement]]] = {}
+        self._node_buckets: Dict[str, Tuple[Optional[Dict[int, SubReplicaPlacement]], Optional[float]]] = {}
+        self._replica_buckets: Dict[str, Optional[Dict[int, SubReplicaPlacement]]] = {}
         self._joins_touched: Set[str] = set()
         self._added_subs: List[SubReplicaPlacement] = []
         self._pinned_flat: Optional[List[SubReplicaPlacement]] = None
@@ -488,7 +488,7 @@ class _SessionJournal:
             self._node_buckets[node_id] = (None, None)
         else:
             self._node_buckets[node_id] = (
-                list(bucket),
+                dict(bucket),
                 placement._node_load[node_id],
             )
             self.copied_subs += len(bucket)
@@ -497,7 +497,7 @@ class _SessionJournal:
         if replica_id in self._replica_buckets:
             return
         bucket = placement._by_replica.get(replica_id)
-        self._replica_buckets[replica_id] = None if bucket is None else list(bucket)
+        self._replica_buckets[replica_id] = None if bucket is None else dict(bucket)
         if bucket is not None:
             self.copied_subs += len(bucket)
 
@@ -595,8 +595,11 @@ class _SessionJournal:
         placement = self.session.placement
         if self._full_rebuild:
             # Snapshot-style fallback: reassign the pinned pre-batch list
-            # (full reindex, observers re-fire, dropped nodes zeroed).
+            # (full reindex, observers re-fire, dropped nodes zeroed). The
+            # reindex re-sums the total demand from scratch, so restore
+            # the running pre-batch value to stay bit-identical.
             placement.sub_replicas = list(self._pinned_flat or [])
+            object.__setattr__(placement, "_total_required", self._total_required)
             return
         flat = placement.sub_replicas
         # (a) the flat view: either swap the pinned pre-batch order back
@@ -615,7 +618,7 @@ class _SessionJournal:
                 placement._by_node.pop(node_id, None)
                 placement._node_load.pop(node_id, None)
             else:
-                placement._by_node[node_id] = list(bucket)
+                placement._by_node[node_id] = dict(bucket)
                 placement._node_load[node_id] = load
             if placement._load_observers:
                 placement._notify_load(
@@ -626,18 +629,19 @@ class _SessionJournal:
             if bucket is None:
                 placement._by_replica.pop(replica_id, None)
             else:
-                placement._by_replica[replica_id] = list(bucket)
+                placement._by_replica[replica_id] = dict(bucket)
         # (d) join buckets and per-join aggregates: rebuilt for the
         # touched joins in one pass over the restored flat view (bucket
         # order equals flat order filtered to the key, so this is exact).
+        # A dict cannot re-insert a key at its old position, hence the pass.
         joins = self._joins_touched
         if joins:
-            buckets: Dict[str, List[SubReplicaPlacement]] = {j: [] for j in joins}
+            buckets: Dict[str, Dict[int, SubReplicaPlacement]] = {j: {} for j in joins}
             replica_counts: Dict[str, Dict[str, int]] = {j: {} for j in joins}
             host_counts: Dict[str, Dict[str, int]] = {j: {} for j in joins}
             for sub in flat:
                 if sub.join_id in buckets:
-                    buckets[sub.join_id].append(sub)
+                    buckets[sub.join_id][id(sub)] = sub
                     counts = replica_counts[sub.join_id]
                     counts[sub.replica_id] = counts.get(sub.replica_id, 0) + 1
                     counts = host_counts[sub.join_id]
@@ -993,20 +997,14 @@ class _BatchApplier:
         node_id = operator.pinned_node
         if node_id in session.available:
             node = session.topology.node(node_id)
-            hosted = sum(
-                s.charged_capacity for s in session.placement.subs_on_node(node_id)
-            )
+            hosted = session.placement.node_load(node_id)
             session.available[node_id] = max(node.capacity - new_rate, 0.0) - hosted
 
     def change_capacity(self, node_id: str, new_capacity: float) -> None:
         session = self.session
         node = session.topology.node(node_id)
-        ingestion = sum(
-            op.data_rate for op in session.plan.sources() if op.pinned_node == node_id
-        )
-        hosted = sum(
-            s.charged_capacity for s in session.placement.subs_on_node(node_id)
-        )
+        ingestion = sum(op.data_rate for op in session.plan.sources_on_node(node_id))
+        hosted = session.placement.node_load(node_id)
         headroom = max(float(new_capacity) - ingestion, 0.0)
         old_capacity = node.capacity
         node.capacity = float(new_capacity)

@@ -7,8 +7,14 @@ that determine its capacity demand.
 
 The per-node, per-replica, and per-join buckets are the placement's source
 of truth: the hot queries (``subs_on_node``, ``subs_of_replica``,
-``subs_of_join``, ``node_loads``) answer from a dict lookup, and removals
-touch only the affected buckets — O(affected), never O(placement). The
+``subs_of_join``, ``node_load``) answer from a dict lookup. Each bucket is
+an insertion-ordered dict keyed by sub-join identity (``id(sub)``, the
+same key the flat view's tombstone map uses), so its iteration order is
+the flat order filtered to the bucket's key. Removal deletes one entry
+per removed sub-join from each of its three buckets — O(removed), never
+O(bucket), even when one join's bucket holds the whole placement — and
+then re-sums only the touched nodes' loads, as a left fold over each node
+bucket so every float matches an incremental build. The
 flat ``sub_replicas`` list is a *lazily-materialized cached view* over
 that store (:class:`_SubReplicaList`): removals mark tombstones instead of
 rebuilding the list, and the next read compacts them away. The view still
@@ -182,9 +188,11 @@ class _SubReplicaList(ObservedList):
             self._on_compact()
 
     def append(self, item) -> None:
-        # Re-appending a tombstoned instance resurrects it rather than
-        # leaving a mark that would silently drop it at compaction.
-        self._dead.pop(id(item), None)
+        # Re-appending a tombstoned instance: drop the tombstone
+        # physically first, so the instance lives once, at the end (where
+        # its buckets now hold it), not also at its old position.
+        if id(item) in self._dead:
+            self.compact()
         super().append(item)
 
     def insert(self, index, item) -> None:
@@ -277,9 +285,9 @@ class Placement:
             # falls back to snapshot-style restore for this batch.
             journal.note_full_rebuild(self)
         previous_loads = getattr(self, "_node_load", {})
-        by_node: Dict[str, List[SubReplicaPlacement]] = {}
-        by_replica: Dict[str, List[SubReplicaPlacement]] = {}
-        by_join: Dict[str, List[SubReplicaPlacement]] = {}
+        by_node: Dict[str, Dict[int, SubReplicaPlacement]] = {}
+        by_replica: Dict[str, Dict[int, SubReplicaPlacement]] = {}
+        by_join: Dict[str, Dict[int, SubReplicaPlacement]] = {}
         loads: Dict[str, float] = {}
         object.__setattr__(self, "_by_node", by_node)
         object.__setattr__(self, "_by_replica", by_replica)
@@ -345,9 +353,11 @@ class Placement:
         journal = self._journal
         if journal is not None:
             journal.note_sub_added(self, sub)
-        self._by_node.setdefault(sub.node_id, []).append(sub)
-        self._by_replica.setdefault(sub.replica_id, []).append(sub)
-        self._by_join.setdefault(sub.join_id, []).append(sub)
+        # One key object shared by the three buckets.
+        key = id(sub)
+        self._by_node.setdefault(sub.node_id, {})[key] = sub
+        self._by_replica.setdefault(sub.replica_id, {})[key] = sub
+        self._by_join.setdefault(sub.join_id, {})[key] = sub
         self._node_load[sub.node_id] = self._node_load.get(sub.node_id, 0.0) + sub.charged_capacity
         if self._load_observers:
             self._notify_load(sub.node_id, self._node_load[sub.node_id])
@@ -365,33 +375,35 @@ class Placement:
         hosts[sub.node_id] = hosts.get(sub.node_id, 0) + 1
 
     def _discard(self, removed: List[SubReplicaPlacement]) -> None:
-        """Drop the given sub-replicas from the store — O(affected).
+        """Drop the given sub-replicas from the store — O(removed).
 
         The flat view only tombstones the instances (the next read
-        compacts them); each touched bucket is filtered in one pass.
+        compacts them); each bucket loses exactly the removed keys.
         Removal is by object identity, which is consistent because
-        buckets reference the same instances as the list.
+        buckets reference the same instances as the list. Only the
+        touched nodes' loads are re-summed over their buckets.
         """
         journal = self._journal
         if journal is not None:
             journal.note_subs_removed(self, removed)
-        dead = {id(sub) for sub in removed}
         self.sub_replicas.mark_dead(removed)
-        for index, key_of in (
-            (self._by_node, lambda s: s.node_id),
-            (self._by_replica, lambda s: s.replica_id),
-            (self._by_join, lambda s: s.join_id),
-        ):
-            for key in sorted({key_of(sub) for sub in removed}):
-                bucket = [s for s in index[key] if id(s) not in dead]
-                if bucket:
-                    index[key] = bucket
-                else:
-                    del index[key]
+        for sub in removed:
+            key = id(sub)
+            for index, bucket_key in (
+                (self._by_node, sub.node_id),
+                (self._by_replica, sub.replica_id),
+                (self._by_join, sub.join_id),
+            ):
+                bucket = index[bucket_key]
+                del bucket[key]
+                if not bucket:
+                    del index[bucket_key]
         for node_id in sorted({sub.node_id for sub in removed}):
             bucket = self._by_node.get(node_id)
             if bucket:
-                self._node_load[node_id] = sum(s.charged_capacity for s in bucket)
+                self._node_load[node_id] = sum(
+                    s.charged_capacity for s in bucket.values()
+                )
             else:
                 self._node_load.pop(node_id, None)
             if self._load_observers:
@@ -433,7 +445,8 @@ class Placement:
 
     def subs_on_node(self, node_id: str) -> List[SubReplicaPlacement]:
         """Sub-replicas hosted on a node."""
-        return list(self._by_node.get(node_id, ()))
+        bucket = self._by_node.get(node_id)
+        return list(bucket.values()) if bucket is not None else []
 
     def node_sub_count(self, node_id: str) -> int:
         """How many sub-replicas a node hosts (O(1), no materialization).
@@ -447,11 +460,13 @@ class Placement:
 
     def subs_of_replica(self, replica_id: str) -> List[SubReplicaPlacement]:
         """Sub-replicas belonging to one join pair replica."""
-        return list(self._by_replica.get(replica_id, ()))
+        bucket = self._by_replica.get(replica_id)
+        return list(bucket.values()) if bucket is not None else []
 
     def subs_of_join(self, join_id: str) -> List[SubReplicaPlacement]:
         """Sub-replicas belonging to one logical join."""
-        return list(self._by_join.get(join_id, ()))
+        bucket = self._by_join.get(join_id)
+        return list(bucket.values()) if bucket is not None else []
 
     def node_loads(self) -> Dict[str, float]:
         """Total join demand per node (tuples/s), merge-aware.
@@ -460,6 +475,10 @@ class Placement:
         partition streams shared by merged sub-joins count once.
         """
         return dict(self._node_load)
+
+    def node_load(self, node_id: str) -> float:
+        """One node's total join demand (0.0 when it hosts nothing), O(1)."""
+        return self._node_load.get(node_id, 0.0)
 
     def replica_count(self) -> int:
         """Total number of placed sub-replicas (O(1), never materializes)."""
@@ -507,8 +526,8 @@ class Placement:
         The replay-side inverse of :meth:`extend`: applying a
         :class:`~repro.core.changeset.PlanDelta` to an archived placement
         drops exactly the diff's removed instances. Each key is resolved
-        through its node's bucket, so the cost is O(touched buckets), not
-        O(placement). Returns what was removed; keys with no match are
+        through its node's bucket, so the cost is O(touched node buckets),
+        not O(placement). Returns what was removed; keys with no match are
         ignored.
         """
         wanted = set(keys)
@@ -518,7 +537,9 @@ class Placement:
             if not bucket:
                 continue
             removed.extend(
-                sub for sub in bucket if (sub.sub_id, sub.node_id) in wanted
+                sub
+                for sub in bucket.values()
+                if (sub.sub_id, sub.node_id) in wanted
             )
         if removed:
             self._discard(removed)

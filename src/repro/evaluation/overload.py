@@ -96,7 +96,9 @@ class OverloadMonitor:
     placement size. Capacities are cached per node and refreshed lazily
     on each load change; a capacity change *without* a load change (the
     change-set engine's fast path for raised capacity) is surfaced via
-    :meth:`refresh_node`.
+    :meth:`refresh_node`, which is O(1): it reads the one node's load
+    (:meth:`Placement.node_load`) rather than copying the load map, so
+    :meth:`apply_delta` costs O(nodes the delta touched).
 
     Close the monitor (or let it fall out of scope together with the
     placement) when done; ``close`` detaches the observer.
@@ -134,7 +136,7 @@ class OverloadMonitor:
 
     def refresh_node(self, node_id: str) -> None:
         """Re-read one node's capacity (after a capacity-only change)."""
-        self._classify(node_id, self.placement.node_loads().get(node_id, 0.0))
+        self._classify(node_id, self.placement.node_load(node_id))
 
     def apply_delta(self, delta) -> None:
         """Reconcile with a just-applied plan delta.

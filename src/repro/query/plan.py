@@ -20,6 +20,11 @@ class LogicalPlan:
     def __init__(self) -> None:
         self._operators: Dict[str, Operator] = {}
         self._producer_of: Dict[str, str] = {}
+        # Sources per pinned node, in plan insertion order. Sources never
+        # move; sinks do (sink migration re-pins them), so only sources
+        # are indexed. Built on first use: only churn reads it, and a
+        # plan that never sees churn should not pay for ~n small lists.
+        self._sources_on: Optional[Dict[str, List[Operator]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -36,6 +41,8 @@ class LogicalPlan:
         self._operators[operator.op_id] = operator
         for stream in operator.outputs:
             self._producer_of[stream] = operator.op_id
+        if self._sources_on is not None and operator.is_source:
+            self._sources_on.setdefault(operator.pinned_node, []).append(operator)
         return operator
 
     def add_source(
@@ -99,6 +106,13 @@ class LogicalPlan:
         del self._operators[op_id]
         for stream in operator.outputs:
             self._producer_of.pop(stream, None)
+        if self._sources_on is not None and operator.is_source:
+            node_id = operator.pinned_node
+            remaining = [op for op in self._sources_on[node_id] if op is not operator]
+            if remaining:
+                self._sources_on[node_id] = remaining
+            else:
+                del self._sources_on[node_id]
         return operator
 
     # ------------------------------------------------------------------
@@ -128,6 +142,15 @@ class LogicalPlan:
     def sources(self) -> List[Operator]:
         """All physical sources."""
         return self.operators_of_kind(OperatorKind.SOURCE)
+
+    def sources_on_node(self, node_id: str) -> List[Operator]:
+        """Physical sources pinned to ``node_id``, in plan order (O(1) lookup)."""
+        if self._sources_on is None:
+            index: Dict[str, List[Operator]] = {}
+            for op in self.sources():
+                index.setdefault(op.pinned_node, []).append(op)
+            self._sources_on = index
+        return list(self._sources_on.get(node_id, ()))
 
     def joins(self) -> List[Operator]:
         """All join operators."""

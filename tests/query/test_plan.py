@@ -123,3 +123,18 @@ class TestRemoval:
         assert "t1" not in plan
         # The stream name can be reused now.
         plan.add_source("t1b", node="x", rate=1.0, logical_stream="T", output="t1.out")
+
+    def test_sources_on_node_tracks_adds_and_removals_in_plan_order(self):
+        plan = two_region_plan()
+        plan.add_source("t3", node="nt1", rate=5.0, logical_stream="T")
+        plan.add_source("w2", node="nt1", rate=7.0, logical_stream="W")
+        assert [op.op_id for op in plan.sources_on_node("nt1")] == ["t1", "t3", "w2"]
+        assert plan.sources_on_node("nsink") == []  # sinks are not indexed
+        plan.remove_operator("t3")
+        plan.add_source("t3", node="nt1", rate=5.0, logical_stream="T")
+        plan.remove_operator("w1")
+        for node_id in ("nt1", "nt2", "nw1"):
+            expected = [op for op in plan.sources() if op.pinned_node == node_id]
+            assert plan.sources_on_node(node_id) == expected
+        assert [op.op_id for op in plan.sources_on_node("nt1")] == ["t1", "w2", "t3"]
+        assert plan.sources_on_node("nw1") == []

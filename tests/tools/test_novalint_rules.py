@@ -44,6 +44,16 @@ class TestJournalCoverage:
         result = lint_fixture("journal")
         assert_clean(result, "clean.py")
 
+    def test_writes_into_keyed_buckets_caught(self):
+        result = lint_fixture("journal_nested")
+        found = findings_for(result, "violating.py", "journal-coverage")
+        assert {f.line for f in found} == {5, 9, 13, 17}
+        assert all(f.severity == "error" for f in found)
+
+    def test_nested_reads_and_surface_writes_pass(self):
+        result = lint_fixture("journal_nested")
+        assert_clean(result, "clean.py")
+
 
 # -- worker-purity ------------------------------------------------------
 class TestWorkerPurity:

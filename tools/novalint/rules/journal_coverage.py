@@ -15,7 +15,10 @@ the ``pinned``/``virtual_positions`` maps being observable by the
 Any *other* code in ``src/repro/core/`` that writes those structures
 directly — a ``placement._by_node[x] = …``, a ``ledger._backing[x] = …``,
 a wholesale ``placement.pinned = {…}`` — bypasses the journal: the batch
-applies, but a mid-batch failure can no longer roll back exactly.
+applies, but a mid-batch failure can no longer roll back exactly. The
+buckets are keyed dicts nested one level deep, so writes *into* a bucket
+(``placement._by_node[x][key] = …``, ``del placement._by_join[x][key]``,
+``placement._by_replica[x].pop(key)``) count as well.
 """
 
 from __future__ import annotations
@@ -68,6 +71,14 @@ _MUTATING_METHODS = frozenset(
 )
 
 
+def _subscripted_attr(node: ast.AST) -> str:
+    """The attribute under any subscripts: ``_by_node`` for ``x._by_node``,
+    ``x._by_node[k]`` and ``x._by_node[k][j]``; ``""`` for anything else."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node.attr if isinstance(node, ast.Attribute) else ""
+
+
 @register
 class JournalCoverageRule(Rule):
     id = "journal-coverage"
@@ -94,10 +105,9 @@ class JournalCoverageRule(Rule):
             )
             for target in targets:
                 # placement._by_node[key] = …  /  del ledger._backing[key]
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Attribute
-                ):
-                    attr = target.value.attr
+                # placement._by_node[key][sub_key] = …  (into a bucket)
+                if isinstance(target, ast.Subscript):
+                    attr = _subscripted_attr(target.value)
                     if attr in guarded:
                         yield self._emit(ctx, target, attr, "subscript write")
                 # placement._by_node = …  (rebinding the store itself)
@@ -113,16 +123,14 @@ class JournalCoverageRule(Rule):
                         )
         elif isinstance(node, ast.Call):
             func = node.func
-            # placement._by_node.pop(…) and friends
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATING_METHODS
-                and isinstance(func.value, ast.Attribute)
-                and func.value.attr in guarded
-            ):
-                yield self._emit(
-                    ctx, node, func.value.attr, f"mutating call .{func.attr}()"
-                )
+            # placement._by_node.pop(…), placement._by_node[key].pop(…), …
+            mutated = (
+                _subscripted_attr(func.value)
+                if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS
+                else ""
+            )
+            if mutated in guarded:
+                yield self._emit(ctx, node, mutated, f"mutating call .{func.attr}()")
             # object.__setattr__(x, "_by_node", …)
             elif (
                 dotted_name(func) == "object.__setattr__"
