@@ -111,12 +111,11 @@ def phase_rows(timings) -> List[List[object]]:
     Columns: phase, seconds, work done, throughput. Makes the Phase II
     median-solve rate (medians/s), the Phase III packing rate (cells/s),
     the batched k-NN query count, and the packing engine's shared-ring
-    cache hit rate (plus worker/batch counters when lease-parallel
-    packing ran) visible, so scalability regressions show up as a
+    cache hit rate visible, so scalability regressions show up as a
     falling rate rather than a bare total.
     """
     cache_lookups = timings.cursor_cache_hits + timings.cursor_cache_misses
-    rows: List[List[object]] = [
+    return [
         ["phase I (cost space)", timings.cost_space_s, "", ""],
         ["plan resolution", timings.resolve_s, "", ""],
         [
@@ -137,31 +136,14 @@ def phase_rows(timings) -> List[List[object]]:
             f"{timings.cursor_cache_hits}/{cache_lookups} ring lookups",
             f"{timings.cursor_cache_hit_rate:.0%} hit rate",
         ],
-    ]
-    if timings.packing_workers_used:
-        rows.append(
-            [
-                "phase III workers",
-                "",
-                f"{timings.packing_batches} batches, "
-                f"{timings.packing_speculated} speculative, "
-                f"{timings.cleanup_deferred} deferred, "
-                f"{timings.packing_hot_zone} hot-zone",
-                f"{timings.packing_workers_used} workers",
-            ]
-        )
-    rows.extend(
         [
-            [
-                "placement (II+III)",
-                timings.virtual_s + timings.physical_s,
-                f"{timings.replicas_placed} replicas",
-                f"{timings.replicas_per_s:,.0f} replicas/s",
-            ],
-            ["total", timings.total_s, "", ""],
-        ]
-    )
-    return rows
+            "placement (II+III)",
+            timings.virtual_s + timings.physical_s,
+            f"{timings.replicas_placed} replicas",
+            f"{timings.replicas_per_s:,.0f} replicas/s",
+        ],
+        ["total", timings.total_s, "", ""],
+    ]
 
 
 def synthetic_1k(seed: int = 11) -> Tuple[OppWorkload, DenseLatencyMatrix]:

@@ -34,22 +34,12 @@ printed and exported into the BENCH json artifact via
 identical to sequential; from 10^4 the batch must issue strictly fewer
 packing passes and index queries than the per-event cadence.
 
-From 10^3 nodes the run also sweeps the parallel Phase III across the
-process execution backend at 1/2/4 workers on identically built
-sessions: placements must be bit-identical to the serial engine for
-every backend and worker count (speculative lease packing with an
-order-respecting commit — see ``docs/architecture.md``), the physical
-wall-clock curve lands in the BENCH json
-(``workers_physical_s_*``/``workers_speedup_4w``), and on hosts with
-at least four cores the 4-worker point must beat the 1-worker point.
-
 Default sizes stop at 10^4 so the suite stays fast; set
 ``NOVA_BENCH_FULL=1`` for the 10^5/10^6 paper-scale points (expect
 minutes per point; 10^6 additionally switches to the approximate annoy
 backend).
 """
 
-import os
 import time
 from dataclasses import replace
 
@@ -80,14 +70,6 @@ def build_instance(n, seed=13):
         ids, coords = workload.topology.positions_array()
         latency = CoordinateLatencyModel(ids, coords)
     return workload, latency
-
-
-def placement_signature(session):
-    """Exact (sub, host, charge) signature for cross-backend parity."""
-    return {
-        (s.sub_id, s.node_id, round(s.charged_capacity, 12))
-        for s in session.placement.sub_replicas
-    }
 
 
 def reopt_events(session, seed=13):
@@ -138,75 +120,6 @@ def test_fig10_scalability(benchmark, capsys, n):
             title=f"Figure 10 — per-phase timings at n={n}",
         ),
     )
-
-    # ---- Parallel Phase III: process-backend worker sweep ------------
-    # Speculative lease packing is bit-identical to the serial engine
-    # for every backend and worker count by construction; the sweep
-    # proves it on identically built sessions and records the physical
-    # wall-clock curve in the BENCH json. Wall-clock is only *asserted*
-    # where the host has real cores, and only directionally: the
-    # single-sink workload concentrates about half the jobs in the
-    # dense center, whose candidate rings exceed the direct-query
-    # threshold — there the serial engine answers through near-exact
-    # index queries a worker's exact ring scan cannot replay, so those
-    # jobs must stream through the serial path and the achievable
-    # speedup is Amdahl-bounded by the speculated fraction (tracked
-    # below, floor-asserted at 10^4).
-    serial_signature = placement_signature(session)
-    sweep_physical = {}
-    sweep_speculated = {}
-    if n >= 1000:
-        for worker_count in (1, 2, 4):
-            workload_w, latency_w = build_instance(n)
-            sweep_session = Nova(
-                NovaConfig(
-                    seed=13,
-                    execution_backend="process",
-                    packing_workers=worker_count,
-                )
-            ).optimize(
-                workload_w.topology,
-                workload_w.plan,
-                workload_w.matrix,
-                latency=latency_w,
-            )
-            sweep_physical[worker_count] = sweep_session.timings.physical_s
-            sweep_speculated[worker_count] = (
-                sweep_session.timings.packing_speculated
-            )
-            if n == 1000:
-                assert placement_signature(sweep_session) == serial_signature, (
-                    f"process backend with {worker_count} workers diverged "
-                    f"from the serial placement at n={n}"
-                )
-            sweep_session.close()
-        if n == 1000:
-            workload_t, latency_t = build_instance(n)
-            thread_session = Nova(
-                NovaConfig(seed=13, execution_backend="thread", packing_workers=4)
-            ).optimize(
-                workload_t.topology,
-                workload_t.plan,
-                workload_t.matrix,
-                latency=latency_t,
-            )
-            assert placement_signature(thread_session) == serial_signature, (
-                f"thread backend with 4 workers diverged from the serial "
-                f"placement at n={n}"
-            )
-            thread_session.close()
-        print_report(
-            capsys,
-            render_table(
-                ["workers (process backend)", "physical s", "speculated"],
-                [
-                    [w, sweep_physical[w], sweep_speculated[w]]
-                    for w in sorted(sweep_physical)
-                ],
-                precision=4,
-                title=f"Figure 10 — Phase III worker sweep at n={n}",
-            ),
-        )
 
     # Time the baselines on the pristine workload (the re-optimization
     # events below mutate the session's plan and topology).
@@ -308,14 +221,6 @@ def test_fig10_scalability(benchmark, capsys, n):
     benchmark.extra_info["churn_batched_knn_queries"] = delta.timings.knn_queries
     benchmark.extra_info["churn_sequential_knn_queries"] = sequential_spent.knn_queries
 
-    if sweep_physical:
-        for worker_count, physical_s in sweep_physical.items():
-            benchmark.extra_info[f"workers_physical_s_{worker_count}"] = physical_s
-        benchmark.extra_info["workers_speculated_4w"] = sweep_speculated[4]
-        benchmark.extra_info["workers_speedup_4w"] = (
-            sweep_physical[1] / sweep_physical[4] if sweep_physical[4] > 0 else 0.0
-        )
-
     benchmark.extra_info["single_event_s"] = single_event_s
     benchmark.extra_info["single_event_journal_nodes_touched"] = (
         lone_delta.timings.journal_nodes_touched
@@ -323,24 +228,6 @@ def test_fig10_scalability(benchmark, capsys, n):
     benchmark.extra_info["single_event_copied_subs"] = (
         lone_delta.timings.copied_subs
     )
-
-    # Scheduler effectiveness: at 10^4 the lease scheduler must get a
-    # real fraction of the jobs through speculation (the periphery of
-    # the sink-concentrated cluster), not degrade into all-hot-zone.
-    if n >= 10_000 and sweep_physical:
-        total_jobs = session.timings.replicas_placed
-        assert sweep_speculated[4] >= 0.15 * total_jobs, (
-            f"only {sweep_speculated[4]} of {total_jobs} jobs speculated "
-            f"at n={n} — the lease scheduler collapsed into the hot zone"
-        )
-    # Wall-clock only where the host actually has the cores (CI smoke
-    # and single-core containers skip this; the json artifact always
-    # carries the curve).
-    if n >= 10_000 and sweep_physical and (os.cpu_count() or 1) >= 4:
-        assert sweep_physical[4] < sweep_physical[1], (
-            f"4-worker process backend ({sweep_physical[4]:.3f}s) did not "
-            f"beat 1 worker ({sweep_physical[1]:.3f}s) at n={n}"
-        )
 
     # Re-optimization stays sub-second regardless of topology size.
     assert worst_event_s < 1.0, f"re-optimization took {worst_event_s:.2f}s at n={n}"

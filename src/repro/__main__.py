@@ -77,27 +77,11 @@ def _build_plan_workload(name: str, nodes: int, seed: int):
     return None
 
 
-def _config_overrides(
-    workers: Optional[str], backend: Optional[str]
-) -> dict:
-    """NovaConfig kwargs for the shared --workers/--execution-backend
-    flags. Workers stay a string here ("4" or "auto"); the config's
-    resolve step normalizes either form."""
-    overrides: dict = {}
-    if workers is not None:
-        overrides["packing_workers"] = workers
-    if backend is not None:
-        overrides["execution_backend"] = backend
-    return overrides
-
-
 def run_plan(
     workload_name: str,
     strategy: str,
     nodes: int = 400,
     seed: int = 0,
-    workers: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> int:
     """Plan a workload through the unified Planner API and report it.
 
@@ -105,21 +89,11 @@ def run_plan(
     comparison table; a single strategy prints its full PlanResult
     summary. Exits non-zero when any strategy produces an empty
     placement — which is what lets CI treat this as a smoke assertion.
-    ``--workers`` (an integer or ``auto``) and ``--execution-backend``
-    select the Phase III lease fan-out; results are bit-identical for
-    every combination.
     """
     from repro import NovaConfig, available_strategies, plan
     from repro.common.errors import ReproError
     from repro.common.tables import render_table
     from repro.evaluation import evaluate_result
-
-    overrides = _config_overrides(workers, backend)
-    try:
-        NovaConfig(seed=seed, **overrides)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
 
     workload = _build_plan_workload(workload_name, nodes, seed)
     if workload is None:
@@ -140,18 +114,12 @@ def run_plan(
     empty = []
     for name in names:
         try:
-            result = plan(workload, name, config=NovaConfig(seed=seed, **overrides))
+            result = plan(workload, name, config=NovaConfig(seed=seed))
         except ReproError as error:
             print(f"planning failed for {name!r}: {error}", file=sys.stderr)
             return 1
-        try:
-            evaluated = evaluate_result(result)
-            summary = result.summary()
-        finally:
-            # Strategies that support churn hand back a live session with
-            # execution backends attached; release them once evaluated.
-            if result.session is not None:
-                result.session.close()
+        evaluated = evaluate_result(result)
+        summary = result.summary()
         if summary["sub_replicas"] == 0:
             empty.append(name)
         if len(names) == 1:
@@ -213,25 +181,25 @@ def run_demo() -> int:
     from repro.workloads import build_running_example
 
     example = build_running_example()
-    with Nova(NovaConfig(seed=7)).optimize(
+    session = Nova(NovaConfig(seed=7)).optimize(
         example.topology, example.plan, example.matrix, latency=example.latency
-    ) as session:
-        stats = latency_stats(session.placement, matrix_distance(example.latency))
-        print(
-            render_table(
-                ["metric", "value"],
-                [
-                    ["sub-joins placed", session.placement.replica_count()],
-                    ["hosting nodes", ", ".join(session.placement.nodes_used())],
-                    ["overloaded hosts %", overload_percentage(session.placement, example.topology)],
-                    ["mean latency ms", stats.mean],
-                    ["p90 latency ms", stats.p90],
-                    ["optimization time s", session.timings.total_s],
-                ],
-                precision=2,
-                title="Nova on the running example (Figure 2)",
-            )
+    )
+    stats = latency_stats(session.placement, matrix_distance(example.latency))
+    print(
+        render_table(
+            ["metric", "value"],
+            [
+                ["sub-joins placed", session.placement.replica_count()],
+                ["hosting nodes", ", ".join(session.placement.nodes_used())],
+                ["overloaded hosts %", overload_percentage(session.placement, example.topology)],
+                ["mean latency ms", stats.mean],
+                ["p90 latency ms", stats.p90],
+                ["optimization time s", session.timings.total_s],
+            ],
+            precision=2,
+            title="Nova on the running example (Figure 2)",
         )
+    )
     return 0
 
 
@@ -252,8 +220,6 @@ def list_figures() -> int:
 def run_replay(
     trace_path: str,
     save_deltas: Optional[str] = None,
-    workers: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> int:
     """Replay a churn trace through ``session.apply``, batch by batch.
 
@@ -301,83 +267,78 @@ def run_replay(
         return 2
     nodes = int(spec.get("nodes", 400))
     seed = int(spec.get("seed", 0))
-    try:
-        config = NovaConfig(seed=seed, **_config_overrides(workers, backend))
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
     workload = _build_plan_workload("synthetic", nodes, seed)
 
     started = time.perf_counter()
-    with Nova(config).optimize(
+    session = Nova(NovaConfig(seed=seed)).optimize(
         workload.topology, workload.plan, workload.matrix,
         latency=workload.ensure_latency(),
-    ) as session:
-        print(
-            f"Optimized {nodes}-node workload (seed {seed}): "
-            f"{session.placement.replica_count()} sub-joins in "
-            f"{time.perf_counter() - started:.3f}s"
-        )
+    )
+    print(
+        f"Optimized {nodes}-node workload (seed {seed}): "
+        f"{session.placement.replica_count()} sub-joins in "
+        f"{time.perf_counter() - started:.3f}s"
+    )
 
-        applier = WindowApplier(session)
-        monitor = session.overload_monitor
-        rows = []
-        for index, events in enumerate(trace.batches):
-            try:
-                applied = applier.apply(events, index, strict=True)
-            except ReproError as error:
-                print(
-                    f"batch {index} failed (rolled back): {error}",
-                    file=sys.stderr,
-                )
-                return 1
-            for item in applied:
-                delta = item.delta
-                events_per_s = (
-                    delta.events_applied / item.elapsed_s
-                    if item.elapsed_s > 0
-                    else 0.0
-                )
-                rows.append(
-                    [
-                        index,
-                        f"{delta.events_staged}/{delta.events_applied}",
-                        len(delta.subs_added),
-                        len(delta.subs_removed),
-                        len(delta.moves),
-                        len(delta.availability_delta),
-                        delta.timings.packing_passes,
-                        item.elapsed_s,
-                        events_per_s,
-                        monitor.percentage,
-                    ]
-                )
-        print()
-        print(
-            render_table(
+    applier = WindowApplier(session)
+    monitor = session.overload_monitor
+    rows = []
+    for index, events in enumerate(trace.batches):
+        try:
+            applied = applier.apply(events, index, strict=True)
+        except ReproError as error:
+            print(
+                f"batch {index} failed (rolled back): {error}",
+                file=sys.stderr,
+            )
+            return 1
+        for item in applied:
+            delta = item.delta
+            events_per_s = (
+                delta.events_applied / item.elapsed_s
+                if item.elapsed_s > 0
+                else 0.0
+            )
+            rows.append(
                 [
-                    "batch",
-                    "events",
-                    "subs +",
-                    "subs -",
-                    "moved",
-                    "avail Δ",
-                    "passes",
-                    "seconds",
-                    "events/s",
-                    "overload %",
-                ],
-                rows,
-                precision=3,
-                title=f"Churn replay — {len(trace.batches)} batches via session.apply",
+                    index,
+                    f"{delta.events_staged}/{delta.events_applied}",
+                    len(delta.subs_added),
+                    len(delta.subs_removed),
+                    len(delta.moves),
+                    len(delta.availability_delta),
+                    delta.timings.packing_passes,
+                    item.elapsed_s,
+                    events_per_s,
+                    monitor.percentage,
+                ]
             )
+    print()
+    print(
+        render_table(
+            [
+                "batch",
+                "events",
+                "subs +",
+                "subs -",
+                "moved",
+                "avail Δ",
+                "passes",
+                "seconds",
+                "events/s",
+                "overload %",
+            ],
+            rows,
+            precision=3,
+            title=f"Churn replay — {len(trace.batches)} batches via session.apply",
         )
-        if save_deltas:
-            archived = [entry["delta"] for entry in applier.deltas.entries]
-            Path(save_deltas).write_text(
-                json.dumps(archived, indent=2, sort_keys=True)
-            )
-            print(f"\nSaved {len(archived)} plan deltas to {save_deltas}")
+    )
+    if save_deltas:
+        archived = [entry["delta"] for entry in applier.deltas.entries]
+        Path(save_deltas).write_text(
+            json.dumps(archived, indent=2, sort_keys=True)
+        )
+        print(f"\nSaved {len(archived)} plan deltas to {save_deltas}")
     return 0
 
 
@@ -412,8 +373,6 @@ def run_serve(
     status_interval: float = 5.0,
     max_windows: Optional[int] = None,
     exit_on_eof: bool = False,
-    workers: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> int:
     """Run the long-lived serving daemon (see :mod:`repro.serve`).
 
@@ -425,8 +384,8 @@ def run_serve(
     ``--overflow`` policy is ``block`` (stall producers), ``coalesce``
     (compact the queue with the ChangeSet coalescing rules), or ``shed``
     (dead-letter the newest event). SIGINT/SIGTERM drain gracefully:
-    queued events and the in-flight window apply, archives flush, the
-    session closes, and the daemon exits 0.
+    queued events and the in-flight window apply, archives flush, and
+    the daemon exits 0.
     """
     from repro import Nova, NovaConfig
     from repro.common.errors import ReproError
@@ -438,11 +397,6 @@ def run_serve(
         ServeSettings,
     )
 
-    try:
-        config = NovaConfig(seed=seed, **_config_overrides(workers, backend))
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
     settings = ServeSettings(
         window_ms=window_ms,
         max_batch=max_batch,
@@ -467,7 +421,7 @@ def run_serve(
         return 2
 
     started = time.perf_counter()
-    session = Nova(config).optimize(
+    session = Nova(NovaConfig(seed=seed)).optimize(
         workload.topology, workload.plan, workload.matrix,
         latency=workload.ensure_latency(),
     )
@@ -488,10 +442,9 @@ def run_serve(
             status_file=status_file,
         )
     except ReproError as error:
-        session.close()
         print(str(error), file=sys.stderr)
         return 2
-    # ServeLoop.run closes the session and archives on every exit path.
+    # ServeLoop.run closes the archives on every exit path.
     return loop.run(install_signals=True)
 
 
@@ -518,18 +471,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--nodes", type=int, default=400, help="node count for synthetic workloads"
     )
     plan_parser.add_argument("--seed", type=int, default=0, help="workload/config seed")
-    plan_parser.add_argument(
-        "--workers",
-        default=None,
-        help="Phase III packing workers: a positive integer or 'auto' "
-        "(= cpu count); results are identical for every worker count",
-    )
-    plan_parser.add_argument(
-        "--execution-backend",
-        default=None,
-        choices=["serial", "thread", "process"],
-        help="where lease speculation runs (default: thread)",
-    )
     subparsers.add_parser("demo", help="run the running example")
     subparsers.add_parser("figures", help="list bench targets")
     subparsers.add_parser("version", help="print the package version")
@@ -541,17 +482,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--save-deltas",
         default=None,
         help="archive each batch's PlanDelta as JSON to this path",
-    )
-    replay.add_argument(
-        "--workers",
-        default=None,
-        help="Phase III packing workers: a positive integer or 'auto'",
-    )
-    replay.add_argument(
-        "--execution-backend",
-        default=None,
-        choices=["serial", "thread", "process"],
-        help="where lease speculation runs (default: thread)",
     )
     serve = subparsers.add_parser(
         "serve",
@@ -635,17 +565,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="drain and exit once every source hits end-of-stream "
         "(default: keep serving until signaled)",
     )
-    serve.add_argument(
-        "--workers",
-        default=None,
-        help="Phase III packing workers: a positive integer or 'auto'",
-    )
-    serve.add_argument(
-        "--execution-backend",
-        default=None,
-        choices=["serial", "thread", "process"],
-        help="where lease speculation runs (default: thread)",
-    )
     args = parser.parse_args(argv)
     if args.command == "plan":
         return run_plan(
@@ -653,8 +572,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.strategy,
             nodes=args.nodes,
             seed=args.seed,
-            workers=args.workers,
-            backend=args.execution_backend,
         )
     if args.command == "demo":
         return run_demo()
@@ -664,8 +581,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_replay(
             args.trace,
             save_deltas=args.save_deltas,
-            workers=args.workers,
-            backend=args.execution_backend,
         )
     if args.command == "serve":
         return run_serve(
@@ -683,8 +598,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             status_interval=args.status_interval,
             max_windows=args.max_windows,
             exit_on_eof=args.exit_on_eof,
-            workers=args.workers,
-            backend=args.execution_backend,
         )
     from repro import __version__
 

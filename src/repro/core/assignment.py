@@ -7,9 +7,8 @@ virtual position) with enough available capacity. When no node can host a
 cell, Nova spreads the remainder evenly over the nearest candidates,
 accepting overload (Section 3.4).
 
-The actual machinery — the partition-aware host index, the shared
-threshold-bucketed cursor cache, and the lease-parallel batch path —
-lives in :mod:`repro.core.packing`; sessions hold a long-lived
+The actual machinery — the partition-aware host index and the shared
+threshold-bucketed cursor cache — lives in :mod:`repro.core.packing`; sessions hold a long-lived
 :class:`~repro.core.packing.PackingEngine` so neighbourhood rings are
 reused across replicas. This module keeps the historical one-shot entry
 point: :func:`place_replica` spins up a throwaway engine per call, which

@@ -22,16 +22,9 @@ change-sets:
   median solve and **one** :class:`~repro.core.packing.PackingEngine`
   pass instead of one pass per event. If any mutation or the packing
   itself fails, a :class:`_SessionJournal` (availability snapshot plus
-  an inverse-operation log, the same journaled-snapshot idea the
-  packing engine's lease workers use) rolls the session back
-  atomically: placement, capacity ledger, and virtual-position cache
-  come back bit-identical. That same guarantee covers the parallel
-  execution backends: a
-  :class:`~repro.core.execution.WorkerFailure` raised when a lease
-  worker dies mid-batch propagates out of the packing pass like any
-  other error, so the journal restores the exact pre-batch state —
-  no worker-side mutation ever reaches the session (workers only
-  return compact ops; the commit loop is the sole writer).
+  an inverse-operation log) rolls the session back atomically:
+  placement, capacity ledger, and virtual-position cache come back
+  bit-identical.
 
 * :class:`PlanDelta` — the structured diff ``apply`` returns:
   sub-replicas added/removed/moved, replicas added/removed/re-placed,
@@ -416,8 +409,7 @@ class _SessionJournal:
     * ``pinned`` / ``virtual_positions`` — wrapped in :class:`_CowDict`
       proxies for the batch;
     * resolved entries, topology, plan, matrix, and cost-space mutations —
-      inverse closures (:meth:`undo`), replayed in reverse, the same
-      journaled-snapshot idea the packing engine's lease workers use.
+      inverse closures (:meth:`undo`), replayed in reverse.
 
     The forward path is O(affected); rollback may be O(n) (it repairs
     touched join buckets with one pass over the restored flat view), which

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.common.units import check_fraction, check_non_negative, check_positive
-from repro.core.execution import (
-    BACKEND_THREAD,
-    BACKENDS,
-    resolve_workers,
-)
+from repro.core.execution import BACKEND_SERIAL, BACKENDS
 from repro.ncs.vivaldi import VivaldiConfig
 
 EMBEDDING_VIVALDI = "vivaldi"
@@ -24,17 +19,6 @@ MEDIAN_MINIMAX = "minimax"
 
 FALLBACK_SPREAD = "spread"
 FALLBACK_EXPAND = "expand"
-
-
-def _default_workers() -> Union[int, str]:
-    """Env-overridable default so CI can sweep worker counts without
-    touching test code (``NOVA_PACKING_WORKERS=2`` / ``=auto``)."""
-    return os.environ.get("NOVA_PACKING_WORKERS", 1)
-
-
-def _default_backend() -> str:
-    """Env-overridable default (``NOVA_EXECUTION_BACKEND=process``)."""
-    return os.environ.get("NOVA_EXECUTION_BACKEND", BACKEND_THREAD)
 
 
 @dataclass
@@ -69,20 +53,11 @@ class NovaConfig:
     exact_proof_limit: int = 2000
     fallback: str = FALLBACK_EXPAND
     max_candidate_expansions: int = 16
-    # Phase III packing engine. packing_workers=1 runs the plain serial
-    # loop (the reference behaviour); >1 speculatively packs
-    # contention-disjoint replica buckets on that many workers behind
-    # per-region capacity leases while the hot zone streams through the
-    # serial engine, then commits worker ops in original job order —
-    # results are bit-identical to serial for every backend and worker
-    # count. "auto" resolves to os.cpu_count(). Parallelism only kicks
-    # in from packing_parallel_min replicas.
-    packing_workers: Union[int, str] = field(default_factory=_default_workers)
-    packing_parallel_min: int = 64
-    # Where lease speculation runs: "serial" (in-process, lazy),
-    # "thread" (persistent thread pool; GIL-bound overlap), or
-    # "process" (persistent process pool; true multi-core).
-    execution_backend: str = field(default_factory=_default_backend)
+    # Phase III packs serially. These two fields remain only so callers
+    # that still pass them keep working: packing_workers must be 1 and
+    # execution_backend "serial" or "thread" (both run the same pass).
+    packing_workers: int = 1
+    execution_backend: str = BACKEND_SERIAL
     # Shared cursor cache: virtual positions are quantized onto a
     # packing_bucket_grid^d spatial grid (per axis, over the cost-space
     # extent) and demands onto power-of-two levels; one over-fetched
@@ -117,14 +92,18 @@ class NovaConfig:
             raise ValueError(f"unknown fallback strategy {self.fallback!r}")
         if self.max_candidate_expansions < 0:
             raise ValueError("max_candidate_expansions must be >= 0")
-        self.packing_workers = resolve_workers(self.packing_workers)
+        if self.packing_workers != 1:
+            raise ValueError(
+                f"packing_workers={self.packing_workers!r} is not supported: "
+                "parallel packing was removed, Phase III always packs serially "
+                "(packing_workers must be 1)"
+            )
         if self.execution_backend not in BACKENDS:
             raise ValueError(
-                f"unknown execution backend {self.execution_backend!r}; "
-                f"expected one of {', '.join(BACKENDS)}"
+                f"execution_backend={self.execution_backend!r} is not supported: "
+                "parallel packing was removed, Phase III always packs serially "
+                f"(expected one of {', '.join(BACKENDS)})"
             )
-        if self.packing_parallel_min < 1:
-            raise ValueError("packing_parallel_min must be >= 1")
         if self.packing_bucket_grid < 1:
             raise ValueError("packing_bucket_grid must be >= 1")
         if self.packing_ring_start_k < 1:

@@ -1,272 +1,10 @@
-"""Execution backends for the packing engine's lease fan-out.
+"""Execution-backend names still accepted by :class:`~repro.core.config.NovaConfig`.
 
-The :class:`~repro.core.packing.PackingEngine` splits a large packing
-pass into speculative per-bucket *lease work units* (see
-:class:`~repro.core.packing.LeaseWorkUnit`) and a serial commit stream.
-This module owns *where* the speculation runs:
-
-* ``serial``  — units are evaluated lazily in-process when the commit
-  stream first needs them. No threads, no processes; the reference
-  backend.
-* ``thread``  — units run on a persistent :class:`ThreadPoolExecutor`.
-  CPython's GIL limits the overlap to numpy sections, but the pool is
-  cheap and the semantics match the process backend exactly.
-* ``process`` — units run on a persistent :class:`ProcessPoolExecutor`
-  (fork start method on Linux, the platform default elsewhere — macOS
-  lists fork but forking a threaded parent is unsafe there, and the
-  pickle-lean unit design makes spawn just as viable). Units are
-  pickled to the children and compact placement ops come back; the
-  parent's session state never crosses the boundary.
-
-Backends expose one operation — :meth:`ExecutionBackend.start` — which
-begins speculative execution of every unit and returns one *join*
-callable per unit. Joins may be called in any order; each blocks until
-its unit's result (or exception) is available. This shape is what lets
-the engine's commit loop stream the hot zone through the serial path
-while workers speculate on the periphery concurrently.
-
-Fork safety
------------
-
-Two guards keep forked children from trusting inherited state:
-
-* ``fork_generation()`` is a monotone counter bumped in every forked
-  child (``os.register_at_fork``). The packing engine compares it on
-  each pass and flushes its cursor-ring cache when it changed — a
-  child's inherited rings were screened against the parent's live
-  availability array, which the child does not share.
-* ``in_worker()`` is set by the pool initializer in every worker.
-  :func:`create_backend` returns the serial backend inside a worker, so
-  a session accidentally created in a child can never spawn a nested
-  pool.
+Phase III runs as one serial pass (:meth:`repro.core.packing.PackingEngine.pack`);
+there are no worker pools. ``NovaConfig.execution_backend`` survives only
+so existing callers that pass these names keep working.
 """
-
-from __future__ import annotations
-
-import functools
-import multiprocessing
-import os
-import sys
-import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, List, Sequence, Union
 
 BACKEND_SERIAL = "serial"
 BACKEND_THREAD = "thread"
-BACKEND_PROCESS = "process"
-BACKENDS = (BACKEND_SERIAL, BACKEND_THREAD, BACKEND_PROCESS)
-
-
-class WorkerFailure(RuntimeError):
-    """A lease worker failed mid-batch.
-
-    Raised in the parent when a unit's join is called: either re-raised
-    from the worker (it travels by pickle) or synthesized when a worker
-    process died outright. The packing pass propagates it unchanged, so
-    a change-set batch that was mid-apply rolls back bit-identically
-    through the session journal.
-    """
-
-
-# ----------------------------------------------------------------------
-# fork / worker bookkeeping
-# ----------------------------------------------------------------------
-
-_IN_WORKER = False
-_FORK_GENERATION = 0
-
-
-def _mark_worker() -> None:
-    """Pool initializer: flag this process as a lease worker."""
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
-def in_worker() -> bool:
-    """Whether this process is a pool worker (nested pools are refused)."""
-    return _IN_WORKER
-
-
-def _bump_fork_generation() -> None:
-    global _FORK_GENERATION
-    _FORK_GENERATION += 1
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - posix
-    os.register_at_fork(after_in_child=_bump_fork_generation)
-
-
-def fork_generation() -> int:
-    """Monotone counter that advances in every forked child.
-
-    Caches keyed on live parent state (the packing engine's cursor
-    rings, screened against the write-through availability array) check
-    this and invalidate themselves after a fork.
-    """
-    return _FORK_GENERATION
-
-
-def resolve_workers(value: Union[int, str]) -> int:
-    """Normalize a ``packing_workers`` setting to a positive integer.
-
-    ``"auto"`` resolves to ``os.cpu_count()``; integer strings (the CLI
-    hands them through untyped) are converted. Anything else raises
-    ``ValueError``.
-    """
-    if isinstance(value, str):
-        if value == "auto":
-            return os.cpu_count() or 1
-        try:
-            value = int(value)
-        except ValueError:
-            raise ValueError(
-                f"packing_workers must be a positive integer or 'auto', "
-                f"got {value!r}"
-            ) from None
-    if value < 1:
-        raise ValueError("packing_workers must be >= 1")
-    return int(value)
-
-
-# ----------------------------------------------------------------------
-# backends
-# ----------------------------------------------------------------------
-
-
-class ExecutionBackend:
-    """The serial reference backend (also the base class).
-
-    ``start`` returns lazy thunks: each unit is evaluated in-process the
-    first time its join is called, which keeps the commit stream's
-    ordering semantics identical across all backends.
-    """
-
-    name = BACKEND_SERIAL
-
-    def start(
-        self, fn: Callable[[Any], Any], units: Sequence[Any]
-    ) -> List[Callable[[], Any]]:
-        """Begin speculative execution; one join callable per unit."""
-        return [functools.partial(fn, unit) for unit in units]
-
-    def close(self) -> None:
-        """Release pooled resources (idempotent)."""
-
-    @property
-    def running(self) -> bool:
-        """Whether a pool is currently alive (lazy spawn observability)."""
-        return False
-
-
-class ThreadBackend(ExecutionBackend):
-    """Units speculate on a persistent thread pool."""
-
-    name = BACKEND_THREAD
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(int(workers), 1)
-        self._pool = None
-
-    def _ensure(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="nova-lease"
-            )
-        return self._pool
-
-    def start(self, fn, units):
-        pool = self._ensure()
-        return [pool.submit(fn, unit).result for unit in units]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    @property
-    def running(self) -> bool:
-        return self._pool is not None
-
-
-def _shutdown_pool(pool) -> None:
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - interpreter teardown
-        pass
-
-
-def _join_process_future(future):
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return future.result()
-    except BrokenProcessPool as error:
-        raise WorkerFailure(f"lease worker process died: {error}") from error
-
-
-class ProcessBackend(ExecutionBackend):
-    """Units speculate on a persistent process pool.
-
-    The pool spawns lazily on the first ``start`` and persists across
-    packing passes (sessions own the lifecycle and close it via
-    ``NovaSession.close``); a ``weakref.finalize`` safety net shuts it
-    down when the backend is garbage-collected without an explicit
-    close. Workers run ``_mark_worker`` as their initializer, so code
-    executing in a child refuses to spawn nested pools.
-    """
-
-    name = BACKEND_PROCESS
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(int(workers), 1)
-        self._pool = None
-        self._finalizer = None
-
-    def _ensure(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # Fork only on Linux: macOS lists fork but forked children
-            # crash in system frameworks (CPython's default moved to
-            # spawn for that reason), and forking a parent with live
-            # threads (BLAS pools, a prior ThreadBackend) risks
-            # deadlock. Everywhere else the platform default is fine —
-            # LeaseWorkUnit is pickle-lean by design, so spawn works.
-            methods = multiprocessing.get_all_start_methods()
-            use_fork = sys.platform.startswith("linux") and "fork" in methods
-            context = multiprocessing.get_context("fork" if use_fork else None)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=_mark_worker,
-            )
-            self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
-        return self._pool
-
-    def start(self, fn, units):
-        pool = self._ensure()
-        futures = [pool.submit(fn, unit) for unit in units]
-        return [functools.partial(_join_process_future, future) for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    @property
-    def running(self) -> bool:
-        return self._pool is not None
-
-
-def create_backend(config) -> ExecutionBackend:
-    """The execution backend for a config (serial inside pool workers)."""
-    backend = getattr(config, "execution_backend", BACKEND_THREAD)
-    workers = getattr(config, "packing_workers", 1)
-    if in_worker() or backend == BACKEND_SERIAL:
-        return ExecutionBackend()
-    if backend == BACKEND_THREAD:
-        return ThreadBackend(workers)
-    if backend == BACKEND_PROCESS:
-        return ProcessBackend(workers)
-    raise ValueError(f"unknown execution backend {backend!r}")
+BACKENDS = (BACKEND_SERIAL, BACKEND_THREAD)

@@ -79,26 +79,9 @@ class PhaseTimings:
     # per-event sequential application.
     packing_passes: int = 0
     # Packing-engine counters: shared-ring cache lookups (a hit reuses a
-    # previously fetched capacity-filtered neighbourhood), plus how the
-    # speculative lease path split the work. ``packing_hot_zone`` jobs
-    # streamed through the serial engine up front (oversized,
-    # mostly-foreign, degenerate, or contention-dense buckets);
-    # ``packing_speculated`` jobs committed a worker's ops verbatim;
-    # ``cleanup_deferred`` jobs fell back to a serial recompute at
-    # commit time (the worker deferred them, a serial write spoiled
-    # their lease, or an earlier spoiled job poisoned their unit).
-    # ``packing_deferred`` keeps the legacy meaning —
-    # everything the serial engine placed during a parallel pass
-    # (hot zone + cleanup) — so the periphery/hot-zone split is
-    # measurable as a ratio against ``replicas_placed``.
+    # previously fetched capacity-filtered neighbourhood).
     cursor_cache_hits: int = 0
     cursor_cache_misses: int = 0
-    packing_batches: int = 0
-    packing_deferred: int = 0
-    packing_hot_zone: int = 0
-    packing_speculated: int = 0
-    cleanup_deferred: int = 0
-    packing_workers_used: int = 0
     # State-plane counters: how much pre-image copying the change-set
     # journal did per batch. ``journal_nodes_touched`` is the number of
     # distinct nodes whose placement bucket or ledger row gained a
@@ -114,27 +97,20 @@ class PhaseTimings:
         """Total optimization time."""
         return self.cost_space_s + self.resolve_s + self.virtual_s + self.physical_s
 
-    # Fields that are high-water marks rather than accumulating counters:
-    # ``since`` carries their current value instead of subtracting.
-    _HIGH_WATER_FIELDS = ("packing_workers_used",)
-
     def since(self, before: "PhaseTimings") -> "PhaseTimings":
         """The work done between a ``replace(timings)`` snapshot and now.
 
         Field-wise difference over every dataclass field (so counters
-        added later are diffed automatically), except the high-water
-        marks in ``_HIGH_WATER_FIELDS`` which carry the current value.
-        This is how a :class:`~repro.core.changeset.PlanDelta` reports
-        the timings spent applying one batch.
+        added later are diffed automatically). This is how a
+        :class:`~repro.core.changeset.PlanDelta` reports the timings
+        spent applying one batch.
         """
-        values = {}
-        for spec in fields(self):
-            current = getattr(self, spec.name)
-            if spec.name in self._HIGH_WATER_FIELDS:
-                values[spec.name] = current
-            else:
-                values[spec.name] = current - getattr(before, spec.name)
-        return PhaseTimings(**values)
+        return PhaseTimings(
+            **{
+                spec.name: getattr(self, spec.name) - getattr(before, spec.name)
+                for spec in fields(self)
+            }
+        )
 
     @property
     def cursor_cache_hit_rate(self) -> float:
@@ -203,28 +179,6 @@ class NovaSession:
         if self.engine is None:
             self.engine = PackingEngine(self.cost_space, self.config)
         return self.engine
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down session-owned execution resources.
-
-        The packing engine's worker pools (thread or process) spawn
-        lazily and persist across packing passes; this closes them.
-        Idempotent, and safe to skip for serial sessions — a finalizer
-        reaps unclosed process pools — but long-lived drivers should
-        close (or use the session as a context manager) so worker
-        processes don't outlive their useful life.
-        """
-        if self.engine is not None:
-            self.engine.shutdown()
-
-    def __enter__(self) -> "NovaSession":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # shared placement machinery (used by Nova and the re-optimizer)
@@ -322,12 +276,6 @@ class NovaSession:
             timings.packing_passes += 1
         positions = self.placement.virtual_positions
         engine = self.packing_engine
-        # Contention probe for the speculative scheduler: per-node
-        # existing-sub counts from the bucketed placement (O(1) each).
-        # On a fresh optimize the placement is empty and the probe is a
-        # no-op; on churn it routes already-dense zones straight to the
-        # serial stream.
-        engine.contention = self.placement.node_sub_count
         stats_before = engine.stats.copy()
         started = time.perf_counter()
         outcomes = engine.pack(
@@ -341,16 +289,6 @@ class NovaSession:
         timings.cursor_cache_hits += stats.cursor_cache_hits - stats_before.cursor_cache_hits
         timings.cursor_cache_misses += (
             stats.cursor_cache_misses - stats_before.cursor_cache_misses
-        )
-        timings.packing_batches += stats.batches - stats_before.batches
-        hot_zone = stats.hot_zone - stats_before.hot_zone
-        cleanup = stats.deferred - stats_before.deferred
-        timings.packing_hot_zone += hot_zone
-        timings.cleanup_deferred += cleanup
-        timings.packing_deferred += hot_zone + cleanup
-        timings.packing_speculated += stats.speculated - stats_before.speculated
-        timings.packing_workers_used = max(
-            timings.packing_workers_used, stats.workers_used
         )
         for outcome in outcomes:
             timings.cells_placed += outcome.cells_placed

@@ -1,4 +1,4 @@
-"""Phase III packing engine: shared cursors, capacity leases, workers.
+"""Phase III packing engine: one serial pass over a shared cursor cache.
 
 Physically placing a join pair replica means walking its partition grid
 cell by cell and putting each sub-join on the nearest node (by cost-space
@@ -6,89 +6,49 @@ k-NN around the replica's virtual position) with enough available
 capacity; when nothing can host a cell, Nova spreads the remainder over
 the nearest candidates, accepting overload (Section 3.4). The
 :class:`PackingEngine` owns this hot path across all replicas of a
-session and adds two cross-replica structures on top of the per-replica
-machinery that used to live in ``assignment.place_replica``:
+session: :meth:`PackingEngine.pack` places the jobs one after another,
+and every replica's grid walk (:func:`_walk_cells`) draws its fresh
+hosts from one cross-replica structure.
 
-* **A shared, threshold-bucketed cursor cache.** Virtual positions
-  cluster near the sink, so consecutive replicas keep asking for "the
-  nearest node with capacity >= t" around almost the same point. The
-  engine quantizes positions onto a spatial grid and keeps one
-  capacity-filtered *ring* per grid cell: a complete radius
-  neighbourhood, materialized by a vectorized range query (no k-heap,
-  no minimality proof) with ``min_capacity`` at the demand level's
-  power-of-two floor. Because availability only ever decreases while
-  packing runs, a ring stays complete for every later request at any
-  threshold at or above its bound: per-replica views re-rank the ring
-  around the replica's own position (one cached screen per
-  quarter-octave demand level, one masked argmin per host request) and
-  return a host only when its distance is provably inside the covered
-  radius (``d <= horizon - |position - center|``, triangle inequality);
-  otherwise the ring grows by fetching just the new annulus. Rings that
-  outgrow their cell spill to the neighbouring cells they cover, so a
-  hot zone materializes one shared neighbourhood instead of one copy
-  per bucket; in *degenerate* zones (candidate sets beyond
-  ``_DIRECT_QUERY_MIN``, the saturated region at paper scale) views
-  bypass the ring and stream hosts from per-view best-first index
-  queries instead. Exhaustion stays exact (a ring whose radius covers
-  the bounding box, or a short index fetch, proves nothing qualifies),
-  which the spread fallback relies on. The cache is invalidated through
-  :attr:`CostSpace.mutation_epoch` whenever a node joins/leaves or any
-  availability *increases* (churn, undeploys).
+**A shared, threshold-bucketed cursor cache.** Virtual positions
+cluster near the sink, so consecutive replicas keep asking for "the
+nearest node with capacity >= t" around almost the same point. The
+engine quantizes positions onto a spatial grid and keeps one
+capacity-filtered *ring* per grid cell: a complete radius
+neighbourhood, materialized by a vectorized range query (no k-heap, no
+minimality proof) with ``min_capacity`` at the demand level's
+power-of-two floor. Because availability only ever decreases while
+packing runs, a ring stays complete for every later request at any
+threshold at or above its bound: per-replica views re-rank the ring
+around the replica's own position and return a host only when its
+distance is provably inside the covered radius
+(``d <= horizon - |position - center|``, triangle inequality);
+otherwise the ring grows by fetching just the new annulus. Rings that
+outgrow their cell spill to the neighbouring cells they cover, so a hot
+zone materializes one shared neighbourhood instead of one copy per
+bucket. The cache is invalidated through
+:attr:`CostSpace.mutation_epoch` whenever a node joins/leaves or any
+availability *increases* (churn, undeploys).
 
-* **Speculative lease packing with an order-respecting commit.**
-  Replicas are grouped by spatial bucket; each bucket checks out a
-  capacity *lease* — a complete ring of nodes around its first
-  replica's position — in deterministic order, owning nodes
-  first-come: slots an earlier bucket claimed are marked *foreign*.
-  Each lease becomes a pickle-lean :class:`LeaseWorkUnit` (ring
-  arrays, an availability snapshot of the owned nodes, config
-  scalars — never the session) that an execution backend
-  (:mod:`repro.core.execution`: in-process, thread pool, or process
-  pool) evaluates *speculatively* via :func:`_pack_lease_unit`,
-  returning compact per-job placement ops. Oversized, mostly-foreign,
-  degenerate (ring beyond ``_DIRECT_QUERY_MIN``) or contention-dense
-  buckets (measured against the bucketed ``Placement`` when the
-  session provides it) form the *hot zone* and skip speculation.
+A view answers a host request on one of three paths:
 
-  The commit loop then walks **all jobs in their original order**
-  while workers are still speculating: hot-zone jobs stream through
-  the serial engine immediately; a speculated job joins its unit's
-  result and applies the worker's ops verbatim **iff the worker did
-  not defer it, its unit is unpoisoned, and none of its op hosts were
-  written by a serially-recomputed job** (a *spoiled* node), else it
-  is recomputed serially at its original position. The first
-  commit-time spoil *poisons* the rest of its unit — later unit jobs
-  speculated on top of the now-discarded writes, so their rejections
-  are no longer provable and they recompute serially too (a
-  worker-side defer does not poison: its writes were rolled back
-  in-worker before later jobs ran). This is exact, not heuristic:
-  inside one epoch availability only decreases, so a surviving
-  worker's *rejections* stay valid; a worker defers whenever a
-  foreign slot could tie-or-beat its best own candidate or the ring
-  would have to grow, so its *choices* are provably nearest globally
-  (exact distance ties resolve by node id on every exact path, so
-  the winner never depends on which ring served the search); and the
-  grid walk's reuse ladder consults only the replica's own used
-  hosts, which are exactly its op hosts. Hence every backend and
-  worker count commits the identical, bit-identical placement the
-  plain serial loop would produce — as long as the serial engine
-  itself stays on its exact ring machinery, which is guaranteed
-  whenever candidate sets stay below ``_DIRECT_QUERY_MIN``. Beyond
-  that bound (the saturated regime at paper scale) serial views
-  answer through *near-exact* direct index queries that no exact
-  lease scan can replay: the scheduler hot-zones every bucket whose
-  fresh lease ring or cached serving ring crosses the bound, but a
-  ring grown past it mid-batch by earlier serial jobs can still, in
-  principle, serve a speculated bucket differently — the parity
-  contract is therefore pinned below the direct regime (asserted at
-  n=10^3 in tests and bench_fig10; at paper scale the saturated
-  center is near-exact either way). ``NovaConfig.packing_workers =
-  1`` bypasses the lease path entirely; ``execution_backend =
-  "serial"`` runs it with lazily-joined in-process units — none of
-  the semantics change, only the overlap.
+* **screened** — one cached screen per quarter-octave demand level
+  against the index's live availability array, then one masked argmin
+  per host request (``_RingView._nearest_screened``);
+* **scanned** — rings fetched while some candidates sit in the index's
+  linear add-buffer carry no tree rows, so the view probes the ledger
+  in center-distance order with an exact early stop
+  (``_RingView._nearest_scanned``);
+* **direct** — in *degenerate* zones (candidate sets beyond
+  ``_DIRECT_QUERY_MIN``, the saturated region at paper scale) the view
+  bypasses the ring and streams hosts from per-view best-first index
+  queries (``_RingView._nearest_direct``).
 
-The per-replica placement properties (partition-aware host index, merged
-accounting) are unchanged — see :func:`_walk_grid`.
+The screened and scanned paths are exact and resolve equal distances
+by the minimal node id, so the winner never depends on which cached
+ring serves a view. Exhaustion stays exact on every path (a ring whose
+radius covers the bounding box, or a short index fetch, proves nothing
+qualifies), which the spread fallback relies on.
 
 All availability mutations go through the
 :class:`~repro.core.cost_space.AvailabilityLedger` mapping, whose
@@ -102,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, MutableMapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -110,13 +70,6 @@ import numpy as np
 from repro.common.errors import InfeasiblePlacementError
 from repro.core.config import NovaConfig
 from repro.core.cost_space import AvailabilityLedger, CostSpace
-from repro.core.execution import (
-    ExecutionBackend,
-    WorkerFailure,
-    create_backend,
-    fork_generation,
-    in_worker,
-)
 from repro.core.partitioning import PartitioningPlan, plan_partitions
 from repro.core.placement import SubReplicaPlacement
 from repro.query.expansion import JoinPairReplica
@@ -140,44 +93,19 @@ class PackingStats:
 
     ``cursor_cache_hits``/``misses`` count ring-cache lookups (a miss
     fetches a fresh ring); ``knn_queries`` counts neighbour-index
-    searches (ring fetches, growths, lease checkouts, spread queries).
-    The parallel counters record how the lease runs split the work:
-    ``batches`` work units dispatched to the execution backend,
-    ``hot_zone`` jobs routed straight to the serial stream (oversized /
-    mostly-foreign / degenerate / contention-dense buckets),
-    ``speculated`` jobs whose worker ops committed verbatim,
-    ``deferred`` jobs that fell back to a serial recompute at commit
-    time (worker-deferred, spoiled by a serial write, or in a unit
-    poisoned by an earlier spoiled job), and cells placed per worker
-    slot.
+    searches (ring fetches, growths, direct and spread queries).
     """
 
     cursor_cache_hits: int = 0
     cursor_cache_misses: int = 0
     knn_queries: int = 0
-    batches: int = 0
-    hot_zone: int = 0
-    speculated: int = 0
-    deferred: int = 0
-    workers_used: int = 0
-    worker_cells: Dict[str, int] = field(default_factory=dict)
 
     def copy(self) -> "PackingStats":
         return PackingStats(
             cursor_cache_hits=self.cursor_cache_hits,
             cursor_cache_misses=self.cursor_cache_misses,
             knn_queries=self.knn_queries,
-            batches=self.batches,
-            hot_zone=self.hot_zone,
-            speculated=self.speculated,
-            deferred=self.deferred,
-            workers_used=self.workers_used,
-            worker_cells=dict(self.worker_cells),
         )
-
-
-class _DeferReplica(Exception):
-    """A replica cannot be proven correct inside its capacity lease."""
 
 
 # Above this many level-set candidates, the shared-ring machinery stops
@@ -374,23 +302,18 @@ class _Ring:
             return self.ids[slot]
         return self.resolver(int(self.rows[slot]))
 
-    def materialize_ids(self) -> None:
-        """Translate all rows to ids (lease checkout needs the full set)."""
-        if self.ids is None:
-            resolver = self.resolver
-            self.ids = [resolver(int(row)) for row in self.rows]
-
 
 class _RingView:
     """A per-replica view of a shared ring.
 
     Streams the nearest node (by distance to the replica's own position)
-    whose *live* availability passes the view's threshold. Serial views
-    draw candidates from the ring's shared per-level slot cache and run
-    one masked argmin per host request over squared distances computed
-    once per view (``_nearest_screened``); degenerate hot zones bypass
-    the ring with per-view index queries (``_nearest_direct``); lease
-    workers, whose availability lives in journaled snapshots, scan the
+    whose *live* availability passes the view's threshold. Views over a
+    row-based ring draw candidates from the ring's shared per-level slot
+    cache and run one masked argmin per host request over squared
+    distances computed once per view (``_nearest_screened``); degenerate
+    hot zones bypass the ring with per-view index queries
+    (``_nearest_direct``); rings fetched while candidates sit in the
+    index's add-buffer have no rows to screen, so their views scan the
     ring in center-distance order with an exact triangle-inequality
     early stop (``_nearest_scanned``). A hit is returned only when
     provably no closer qualifying node can exist outside the ring
@@ -400,6 +323,7 @@ class _RingView:
     """
 
     __slots__ = (
+        "engine",
         "ring",
         "point",
         "threshold",
@@ -410,8 +334,6 @@ class _RingView:
         "alive",
         "pd2",
         "screened_version",
-        "foreign",
-        "engine",
         "direct",
         "direct_ptr",
         "direct_k",
@@ -420,11 +342,12 @@ class _RingView:
 
     def __init__(
         self,
+        engine: "PackingEngine",
         ring: _Ring,
         point: np.ndarray,
         threshold: float,
-        values: Optional[np.ndarray] = None,
     ) -> None:
+        self.engine = engine
         self.ring = ring
         self.point = np.asarray(point, dtype=float)
         self.threshold = threshold
@@ -433,35 +356,25 @@ class _RingView:
         self.level_key = int(math.floor(math.log2(max(threshold, 1e-12)) * 4.0))
         self.level_bound = float(2.0 ** (self.level_key / 4.0))
         self.offset = float(np.linalg.norm(self.point - ring.center))
-        # Live per-row availability array for vectorized screening; only
-        # usable when the ring knows its tree rows AND the availability
-        # store writes through to the index (serial mode). Lease workers
-        # pack against journaled snapshots and pass None.
-        self.values = values if ring.rows is not None else None
+        # Live per-row availability array for vectorized screening; the
+        # ledger writes through to the index, so it is always current.
+        # Only usable when the ring knows its tree rows.
+        self.values = (
+            engine.cost_space.availability_array if ring.rows is not None else None
+        )
         self.alive: Optional[np.ndarray] = None
         self.pd2: Optional[np.ndarray] = None
         self.screened_version = -3
-        # Lease mode: slots owned by another batch (see _Batch.foreign).
-        self.foreign: Optional[np.ndarray] = None
-        # Serial mode only (set by PackingEngine.cursor): enables the
-        # direct-query fallback for degenerate hot zones.
-        self.engine: Optional["PackingEngine"] = None
         self.direct: Optional[List[Tuple[str, float]]] = None
         self.direct_ptr = 0
         self.direct_k = 8
         self.direct_exhausted = False
 
-    def next_host(
-        self,
-        available,
-        grow: Optional[Callable[["_Ring", float], None]],
-    ) -> Optional[str]:
+    def next_host(self, available) -> Optional[str]:
         """Nearest provably-correct node with ``available >= threshold``.
 
-        ``grow`` extends the ring when correctness cannot be proven from
-        the cached horizon; passing ``None`` (lease mode) raises
-        :class:`_DeferReplica` instead, because a worker must not issue
-        index queries nor claim nodes outside its lease.
+        Grows the ring whenever correctness cannot be proven from the
+        cached horizon.
         """
         ring = self.ring
         offset = self.offset
@@ -476,30 +389,20 @@ class _RingView:
                 level_slots, _ = ring.level_set(
                     self.level_key, self.level_bound, self.values
                 )
-                if len(level_slots) > _DIRECT_QUERY_MIN and self.engine is not None:
+                if len(level_slots) > _DIRECT_QUERY_MIN:
                     return self._nearest_direct(available)
                 best_slot, best_d = self._nearest_screened(available)
-                blocked_d = math.inf
             else:
-                best_slot, best_d, blocked_d = self._nearest_scanned(
-                    available, self.foreign
-                )
-            if best_slot >= 0 and best_d < blocked_d:
+                best_slot, best_d = self._nearest_scanned(available)
+            if best_slot >= 0:
                 if ring.exhausted or best_d <= ring.horizon - offset:
                     return ring.node_id(best_slot)
                 target_radius = offset + best_d
-            elif best_slot < 0 and blocked_d == math.inf:
+            else:
                 if ring.exhausted:
                     return None
                 target_radius = max(ring.horizon, offset) * 2.0
-            else:
-                # A contested (foreign-owned) candidate could be at least
-                # as close as the best own candidate: only the serial
-                # pass can decide this correctly.
-                target_radius = max(ring.horizon, offset) * 2.0
-            if grow is None:
-                raise _DeferReplica()
-            grow(ring, target_radius)
+            self.engine._grow(ring, target_radius)
 
     def _screen(self, available) -> None:
         """Build this view's candidate set from the shared level set.
@@ -559,8 +462,8 @@ class _RingView:
                 pd2[j] = math.inf
                 continue
             # Exact distance ties resolve by node id — the same rule the
-            # lease scan applies — so the winner never depends on which
-            # cached ring (possibly a spilled neighbour's, with a foreign
+            # scanned path applies — so the winner never depends on which
+            # cached ring (possibly a spilled neighbour's, with a different
             # center order) happens to serve this view.
             for t in np.nonzero(pd2 == d2)[0]:
                 other = int(self.alive[int(t)])
@@ -617,23 +520,20 @@ class _RingView:
             self.direct_k *= 4
             self.direct = None
 
-    def _nearest_scanned(
-        self, available, foreign: Optional[np.ndarray] = None
-    ) -> Tuple[int, float, float]:
+    def _nearest_scanned(self, available) -> Tuple[int, float]:
         """Scalar path: chunked scan in center order with exact early stop.
 
-        Used in lease mode, where availability lives in a journaled
-        per-batch snapshot rather than the write-through index array.
-        Scans candidates in the ring's center-distance order and stops
-        once the next candidate's center distance minus the view's
-        offset exceeds the best hit (triangle inequality) — O(window)
-        per request, no O(ring) screen per view. Exact distance ties
-        resolve by node id, matching ``_nearest_screened``, so the
-        choice is independent of this ring's center order. Returns
-        ``(slot, distance, blocked_distance)`` where ``blocked_distance``
-        is the nearest *foreign* (contested, unknowable) candidate seen —
-        if it is closer than the best own candidate the caller cannot
-        prove its choice and must defer.
+        Serves rings fetched while some candidates sat in the index's
+        linear add-buffer: such a ring has no tree rows, so there is no
+        live availability array to screen and each candidate is probed
+        through the ledger instead. Scans candidates in the ring's
+        center-distance order and stops once the next candidate's center
+        distance minus the view's offset exceeds the best hit (triangle
+        inequality) — O(window) per request, no O(ring) screen per view.
+        Exact distance ties resolve by node id, matching
+        ``_nearest_screened``, so the choice is independent of this
+        ring's center order. Returns ``(slot, distance)``, or
+        ``(-1, inf)`` when no ring candidate qualifies.
         """
         ring = self.ring
         threshold = self.threshold
@@ -644,22 +544,16 @@ class _RingView:
         best_slot = -1
         best_d2 = math.inf
         best_d = math.inf
-        blocked_d = math.inf
         i = 0
         while i < size:
-            # Decision-safe early stop: any foreign candidate that could
-            # force a defer must be strictly nearer than the best own
-            # candidate, so it was already scanned before this fires.
             if dists[i] - offset > best_d:
                 break
             end = min(i + 64, size)
-            hits: List[int] = []
-            contested: List[int] = []
-            for slot in range(i, end):
-                if foreign is not None and foreign[slot]:
-                    contested.append(slot)
-                elif available.get(ring.node_id(slot), 0.0) >= threshold:
-                    hits.append(slot)
+            hits = [
+                slot
+                for slot in range(i, end)
+                if available.get(ring.node_id(slot), 0.0) >= threshold
+            ]
             if hits:
                 diffs = ring.points[hits] - point
                 pd2 = np.einsum("ij,ij->i", diffs, diffs)
@@ -679,70 +573,28 @@ class _RingView:
                             best_slot = slot
                             best_d2 = d2
                             best_d = math.sqrt(d2)
-            if contested:
-                diffs = ring.points[contested] - point
-                pd2 = np.einsum("ij,ij->i", diffs, diffs)
-                nearest = math.sqrt(float(pd2.min()))
-                if nearest < blocked_d:
-                    blocked_d = nearest
             i = end
-        return best_slot, best_d, blocked_d
-
-
-class _JournaledMap:
-    """A per-batch availability snapshot with per-replica rollback.
-
-    Workers pack against this instead of the live ledger: writes land in
-    a plain dict (no index write-through, no cross-thread state) and the
-    journal records each node's pre-replica value so a deferred replica
-    can be rolled back exactly.
-    """
-
-    __slots__ = ("base", "journal", "touched")
-
-    def __init__(self, base: Dict[str, float]) -> None:
-        self.base = base
-        self.journal: Dict[str, float] = {}
-        self.touched: Set[str] = set()
-
-    def get(self, key: str, default: float = 0.0) -> float:
-        return self.base.get(key, default)
-
-    def __setitem__(self, key: str, value: float) -> None:
-        if key not in self.journal:
-            self.journal[key] = self.base.get(key, 0.0)
-        self.base[key] = value
-
-    def commit(self) -> None:
-        self.touched.update(self.journal)
-        self.journal.clear()
-
-    def rollback(self) -> None:
-        self.base.update(self.journal)
-        self.journal.clear()
+        return best_slot, best_d
 
 
 def _walk_cells(
     partitioning: PartitioningPlan,
     available,
     fresh_host: Callable[[float], Optional[str]],
-    spread_candidates: Optional[Callable[[int], List[Tuple[str, float]]]],
+    spread_candidates: Callable[[int], List[Tuple[str, float]]],
     c_min: float,
 ) -> Tuple[List[Tuple[str, int, int, float]], bool]:
     """Walk one replica's partition grid; return its placement cells.
 
-    The core first-fit ladder, shared verbatim by the serial engine and
-    the lease workers (it depends on nothing but the availability
-    mapping handed in): each grid cell tries the last host, a node
-    already receiving both partitions, a node sharing one partition
-    with room, the roomiest used node, then the nearest fresh node from
-    ``fresh_host``. Returns ``(cells, overload)`` where each cell is
+    The core first-fit ladder (it depends on nothing but the callables
+    and the availability mapping handed in): each grid cell tries the
+    last host, a node already receiving both partitions, a node sharing
+    one partition with room, the roomiest used node, then the nearest
+    fresh node from ``fresh_host``. Cells no node can host are spread
+    over ``spread_candidates(count)``, the nearest nodes, accepting
+    overload. Returns ``(cells, overload)`` where each cell is
     ``(node_id, left_index, right_index, charged)`` in placement order —
     enough to replay the exact ledger writes anywhere.
-    ``spread_candidates`` supplies nearest nodes for the overload
-    fallback; passing ``None`` (lease mode) raises
-    :class:`_DeferReplica` instead, because a worker must not claim
-    nodes outside its lease.
     """
     left_rates = partitioning.left_partitions
     right_rates = partitioning.right_partitions
@@ -853,8 +705,6 @@ def _walk_cells(
     # over the nearest candidates, accepting overload.
     overload = False
     if pending:
-        if spread_candidates is None:
-            raise _DeferReplica()
         candidates = spread_candidates(len(pending))
         overload = True
         for slot, (i, j) in enumerate(pending):
@@ -863,121 +713,8 @@ def _walk_cells(
     return cells, overload
 
 
-@dataclass
-class LeaseWorkUnit:
-    """One bucket's speculative work unit — everything a worker needs.
-
-    Deliberately pickle-lean: the ring's candidate arrays, an
-    availability snapshot of the *owned* lease nodes only, and the
-    config scalars the mini engine needs — never the session, cost
-    space, or index. Ops come back slot-indexed against ``ring_ids``,
-    so the result is compact too. ``inject_failure`` is a test seam:
-    the worker raises :class:`~repro.core.execution.WorkerFailure`
-    before touching anything, exercising mid-batch rollback under any
-    start method.
-    """
-
-    index: int
-    job_indices: List[int]
-    replicas: List[JoinPairReplica]
-    positions: List[np.ndarray]
-    ring_center: np.ndarray
-    ring_min_value: float
-    ring_radius: float
-    ring_r_full: float
-    ring_ids: List[str]
-    ring_dists: np.ndarray
-    ring_points: np.ndarray
-    ring_exhausted: bool
-    foreign: np.ndarray
-    snapshot: Dict[str, float]
-    min_capacity: float
-    sigma: Optional[float]
-    bandwidth_threshold: Optional[float]
-    inject_failure: bool = False
-
-
-@dataclass
-class LeaseResult:
-    """Compact speculation result for one :class:`LeaseWorkUnit`.
-
-    ``ops[k]`` holds job ``k``'s placement as ``(slot, i, j, charged)``
-    tuples (slot indexes ``ring_ids``), or ``None`` when the worker
-    deferred the job (its consumption was rolled back, so later jobs in
-    the unit speculated as if it never ran — exactly what the commit
-    loop's serial recompute then makes true).
-    """
-
-    index: int
-    ops: List[Optional[List[Tuple[int, int, int, float]]]]
-    deferred: int
-    cells: int
-
-
-def _pack_lease_unit(unit: LeaseWorkUnit) -> LeaseResult:
-    """Speculatively pack one lease unit (the worker-side mini engine).
-
-    Rebuilds a read-only ring from the shipped arrays, recomputes each
-    replica's partitioning from its rate scalars, and runs the shared
-    grid walk against a journaled copy of the lease snapshot. Defers —
-    never guesses — whenever correctness cannot be proven inside the
-    lease: ring growth needed, spread fallback, or a foreign slot that
-    could tie-or-beat the best owned candidate.
-    """
-    if unit.inject_failure:
-        raise WorkerFailure(f"injected failure in lease unit {unit.index}")
-    ring = _Ring(unit.ring_center, unit.ring_min_value, unit.ring_radius, unit.ring_r_full)
-    ring.ids = list(unit.ring_ids)
-    ring.dists = unit.ring_dists
-    ring.points = unit.ring_points
-    ring.dead = np.zeros(len(unit.ring_ids), dtype=bool)
-    ring.horizon = unit.ring_radius
-    ring.exhausted = unit.ring_exhausted
-    ring.version = 0
-    slot_of = {node_id: slot for slot, node_id in enumerate(unit.ring_ids)}
-    # Copy the snapshot: the parent reuses its pristine copy to verify
-    # nothing else wrote the lease (and fork children share memory).
-    local = _JournaledMap(dict(unit.snapshot))
-    c_min = unit.min_capacity
-    ops: List[Optional[List[Tuple[int, int, int, float]]]] = []
-    deferred = 0
-    cells = 0
-    for k, replica in enumerate(unit.replicas):
-        position = unit.positions[k]
-        partitioning = plan_partitions(
-            replica.left_rate,
-            replica.right_rate,
-            sigma=unit.sigma,
-            bandwidth_threshold=unit.bandwidth_threshold,
-        )
-        views: Dict[float, _RingView] = {}
-
-        def fresh_host(demand: float, position=position, views=views) -> Optional[str]:
-            need = max(demand, c_min, 1e-12)
-            view = views.get(need)
-            if view is None:
-                view = _RingView(ring, position, need)
-                view.foreign = unit.foreign
-                views[need] = view
-            return view.next_host(local, None)
-
-        try:
-            cell_list, _ = _walk_cells(partitioning, local, fresh_host, None, c_min)
-        except _DeferReplica:
-            local.rollback()
-            ops.append(None)
-            deferred += 1
-            continue
-        local.commit()
-        cells += len(cell_list)
-        ops.append(
-            [(slot_of[node_id], i, j, charged) for node_id, i, j, charged in cell_list]
-        )
-    return LeaseResult(unit.index, ops, deferred, cells)
-
-
 class PackingEngine:
-    """Owns Phase III for a session: cursor cache, leases, workers."""
+    """Owns Phase III for a session: the cursor cache and the serial pass."""
 
     def __init__(self, cost_space: CostSpace, config: Optional[NovaConfig] = None) -> None:
         self.cost_space = cost_space
@@ -989,14 +726,6 @@ class PackingEngine:
         self._lower: Optional[np.ndarray] = None
         self._upper: Optional[np.ndarray] = None
         self._nn_scale = 1.0
-        self._backend: Optional[ExecutionBackend] = None
-        self._fork_generation = fork_generation()
-        # Contention probe (node_id -> existing sub count), wired by the
-        # session from the bucketed Placement; None disables the
-        # contention-aware routing rule.
-        self.contention: Optional[Callable[[str], int]] = None
-        # Test seam: called with each LeaseWorkUnit before dispatch.
-        self._unit_hook: Optional[Callable[[LeaseWorkUnit], None]] = None
 
     # ------------------------------------------------------------------
     # cursor cache
@@ -1007,38 +736,12 @@ class PackingEngine:
         return len(self._rings)
 
     def _sync_epoch(self) -> None:
-        """Flush the ring cache if the cost space mutated underneath it.
-
-        Also fork safety: a forked child inherits rings that were
-        screened against the *parent's* live availability array, which
-        the child no longer shares — the fork-generation counter from
-        :mod:`repro.core.execution` forces a flush on first use after
-        any fork.
-        """
+        """Flush the ring cache if the cost space mutated underneath it."""
         epoch = self.cost_space.mutation_epoch
-        generation = fork_generation()
-        if epoch != self._epoch or generation != self._fork_generation:
+        if epoch != self._epoch:
             self._rings.clear()
             self._cell_size = None
             self._epoch = epoch
-            self._fork_generation = generation
-
-    # ------------------------------------------------------------------
-    # execution backend lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def execution(self) -> ExecutionBackend:
-        """The lazily-created execution backend (pools spawn on first use)."""
-        if self._backend is None:
-            self._backend = create_backend(self.config)
-        return self._backend
-
-    def shutdown(self) -> None:
-        """Close the execution backend's pools (idempotent; re-usable —
-        the next parallel pack lazily spawns a fresh backend)."""
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
 
     def _bucket_cell(self) -> float:
         if self._cell_size is None:
@@ -1073,10 +776,6 @@ class PackingEngine:
     def _bucket_key(self, position: np.ndarray) -> Tuple[int, ...]:
         cell = self._bucket_cell()
         return tuple(math.floor(c / cell) for c in position.tolist())
-
-    def _bucket_center(self, key: Tuple[int, ...]) -> np.ndarray:
-        cell = self._bucket_cell()
-        return (np.asarray(key, dtype=float) + 0.5) * cell
 
     @staticmethod
     def _level(threshold: float) -> int:
@@ -1131,9 +830,8 @@ class PackingEngine:
         # ring's shell costs more than an extra shell fetch.
         outer = min(max(inner * 1.3, target_radius * 1.05), ring.r_full)
         ring.radius = outer
-        if ring.rows is None or ring.ids is not None:
-            # Slow (id-based) mode, or a lease ring with materialized ids:
-            # refetch wholesale.
+        if ring.rows is None:
+            # Slow (id-based) mode: refetch wholesale.
             self._fetch(ring)
             return
         self.stats.knn_queries += 1
@@ -1249,65 +947,7 @@ class PackingEngine:
             self._rings[key] = ring
         else:
             self.stats.cursor_cache_hits += 1
-        # Serial views screen against the live availability array (the
-        # ledger writes through to the index, so it is always current).
-        view = _RingView(
-            ring, position, threshold, values=self.cost_space.availability_array
-        )
-        view.engine = self
-        return view
-
-    # ------------------------------------------------------------------
-    # the grid walk (shared by the serial and lease-parallel paths)
-    # ------------------------------------------------------------------
-    def _walk_grid(
-        self,
-        replica: JoinPairReplica,
-        position: np.ndarray,
-        partitioning: PartitioningPlan,
-        available,
-        fresh_host: Callable[[float], Optional[str]],
-        spread: bool,
-    ) -> AssignmentOutcome:
-        """Walk the partition grid and place every cell.
-
-        ``available`` may be the live ledger (serial) or a journaled
-        snapshot (lease mode). ``fresh_host`` streams nearest fresh
-        candidates for a demand. ``spread=False`` raises
-        :class:`_DeferReplica` instead of spreading leftover cells, so a
-        lease worker never touches nodes outside its lease. The walk
-        itself lives in the module-level :func:`_walk_cells`, shared
-        verbatim with the worker-side mini engine.
-        """
-        spread_candidates: Optional[Callable[[int], List[Tuple[str, float]]]] = None
-        if spread:
-
-            def spread_candidates(count: int) -> List[Tuple[str, float]]:
-                candidates = self.cost_space.knn(position, k=max(count, 4))
-                self.stats.knn_queries += 1
-                if not candidates:
-                    raise InfeasiblePlacementError(
-                        f"no candidate nodes exist for replica {replica.replica_id!r}"
-                    )
-                return candidates
-
-        cells, overload = _walk_cells(
-            partitioning,
-            available,
-            fresh_host,
-            spread_candidates,
-            self.config.min_available_capacity,
-        )
-        subs = [
-            _make_sub(replica, node_id, i, j, partitioning, charged)
-            for node_id, i, j, charged in cells
-        ]
-        return AssignmentOutcome(
-            subs=subs,
-            partitioning=partitioning,
-            overload_accepted=overload,
-            cells_placed=len(subs),
-        )
+        return _RingView(self, ring, position, threshold)
 
     def _partition(self, replica: JoinPairReplica) -> PartitioningPlan:
         return plan_partitions(
@@ -1321,16 +961,15 @@ class PackingEngine:
         return max(demand, self.config.min_available_capacity, 1e-12)
 
     # ------------------------------------------------------------------
-    # serial path
+    # placement
     # ------------------------------------------------------------------
     def place_replica(
         self,
         replica: JoinPairReplica,
         virtual_position: np.ndarray,
         available: MutableMapping[str, float],
-        partitioning: Optional[PartitioningPlan] = None,
     ) -> AssignmentOutcome:
-        """Partition and physically place one replica (serial path).
+        """Partition and physically place one replica.
 
         Mutates ``available`` to account for consumed (marginal) capacity.
         Never raises on overload: the spread fallback guarantees a
@@ -1340,8 +979,7 @@ class PackingEngine:
         self._sync_epoch()
         position = np.asarray(virtual_position, dtype=float)
         queries_before = self.stats.knn_queries
-        if partitioning is None:
-            partitioning = self._partition(replica)
+        partitioning = self._partition(replica)
         # The smallest cell demand this replica can ever request: fresh
         # rings seed their capacity bound at its level, so the walk's
         # later, lower demands rarely force a ring refetch. (Flooring at
@@ -1359,13 +997,35 @@ class PackingEngine:
             if view is None:
                 view = self.cursor(position, need, floor_threshold=floor_threshold)
                 views[need] = view
-            return view.next_host(available, self._grow)
+            return view.next_host(available)
 
-        outcome = self._walk_grid(
-            replica, position, partitioning, available, fresh_host, spread=True
+        def spread_candidates(count: int) -> List[Tuple[str, float]]:
+            candidates = self.cost_space.knn(position, k=max(count, 4))
+            self.stats.knn_queries += 1
+            if not candidates:
+                raise InfeasiblePlacementError(
+                    f"no candidate nodes exist for replica {replica.replica_id!r}"
+                )
+            return candidates
+
+        cells, overload = _walk_cells(
+            partitioning,
+            available,
+            fresh_host,
+            spread_candidates,
+            self.config.min_available_capacity,
         )
-        outcome.knn_queries = self.stats.knn_queries - queries_before
-        return outcome
+        subs = [
+            _make_sub(replica, node_id, i, j, partitioning, charged)
+            for node_id, i, j, charged in cells
+        ]
+        return AssignmentOutcome(
+            subs=subs,
+            partitioning=partitioning,
+            overload_accepted=overload,
+            cells_placed=len(subs),
+            knn_queries=self.stats.knn_queries - queries_before,
+        )
 
     def _ensure_ledger(self, available: MutableMapping[str, float]) -> MutableMapping[str, float]:
         # Capacity-filtered queries need the index to know availabilities;
@@ -1379,301 +1039,17 @@ class PackingEngine:
             available = AvailabilityLedger(self.cost_space, backing=available)
         return available
 
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
     def pack(
         self,
         jobs: Sequence[Tuple[JoinPairReplica, np.ndarray]],
         available: MutableMapping[str, float],
     ) -> List[AssignmentOutcome]:
-        """Place many replicas; returns one outcome per job, in order.
-
-        Runs the plain serial loop for ``packing_workers <= 1`` (or
-        small job lists, or inside a pool worker, where nested
-        parallelism is refused); otherwise the speculative lease path —
-        with real overlap on the thread/process backends, or with
-        lazily-joined in-process units under
-        ``execution_backend="serial"`` (the deterministic way to drive
-        the commit machinery, e.g. for debugging it). Results are
-        bit-identical across all of these paths; see
-        :meth:`_pack_parallel` for the exact scope of that guarantee.
-        """
+        """Place many replicas one after another; one outcome per job, in order."""
         jobs = list(jobs)
         if not jobs:
             return []
         available = self._ensure_ledger(available)
-        workers = self.config.packing_workers
-        if (
-            workers > 1
-            and len(jobs) >= self.config.packing_parallel_min
-            and not in_worker()
-        ):
-            return self._pack_parallel(jobs, available, workers)
         return [
             self.place_replica(replica, position, available)
             for replica, position in jobs
         ]
-
-    # ------------------------------------------------------------------
-    # speculative lease path
-    # ------------------------------------------------------------------
-    def _contended(self, lease_nodes: List[str]) -> bool:
-        """Contention-aware routing: is this lease zone already packed?
-
-        Probes the bucketed ``Placement`` (when the session wired it in)
-        for sub-replicas already hosted on the lease's nodes. A zone
-        carrying more than two existing subs per lease node is dense
-        enough that serial recomputes elsewhere in the batch are likely
-        to write into it and spoil the speculation — streaming it
-        through the serial engine up front is cheaper than speculating
-        and throwing the work away. Pure scheduling: routing cannot
-        change results, only where they are computed.
-        """
-        contention = self.contention
-        if contention is None or not lease_nodes:
-            return False
-        limit = 2 * len(lease_nodes)
-        existing = 0
-        for node_id in lease_nodes:
-            existing += contention(node_id)
-            if existing > limit:
-                return True
-        return False
-
-    def _pack_parallel(
-        self,
-        jobs: List[Tuple[JoinPairReplica, np.ndarray]],
-        available: AvailabilityLedger,
-        workers: int,
-    ) -> List[AssignmentOutcome]:
-        """Speculate on the periphery, commit everything in serial order.
-
-        Three stages, the first two overlapped:
-
-        1. **Schedule.** Jobs are bucketed spatially; each bucket checks
-           out a lease ring in deterministic (first-job) order, owning
-           nodes first-come. Oversized, mostly-foreign, degenerate, or
-           contention-dense buckets join the *hot zone*; the rest become
-           :class:`LeaseWorkUnit`\\ s dispatched to the execution
-           backend. Construction depends only on the job list and the
-           epoch state — never on worker count or backend.
-        2. **Commit in original job order** (the fixed tiebreak rule):
-           hot-zone jobs recompute through the serial engine immediately
-           — while workers are still speculating — and every node they
-           write is *spoiled*. A speculated job joins its unit's result
-           lazily and commits the worker's ops verbatim only if the
-           worker didn't defer it, its unit is not *poisoned*, and none
-           of its op hosts are spoiled; otherwise it recomputes serially
-           at its original position (spoiling its writes too). The
-           first commit-time spoil *poisons the rest of the unit*:
-           the discarded job's speculative writes were observed by
-           every later job of the unit, so lease nodes it drained but
-           its serial recompute never touched now hold *more* live
-           capacity than those workers assumed — their rejections are
-           no longer covered by the availability-only-decreases proof
-           and they must recompute serially too. (A worker-side defer
-           does not poison: the worker rolled the deferred job's writes
-           back before later jobs speculated.) Replaying an op re-runs
-           the exact ledger subtraction the serial walk would have run,
-           in the same per-node order — bit-identical IEEE-754 state.
-        3. **Account.** Worker cells are attributed per worker slot
-           deterministically (``unit index % worker count``).
-
-        A worker exception (e.g. :class:`WorkerFailure`) surfaces at the
-        join and propagates unchanged; inside a change-set batch the
-        session journal then rolls the whole batch back bit-identically.
-        """
-        self._sync_epoch()
-        positions = [np.asarray(position, dtype=float) for _, position in jobs]
-        partitionings = [self._partition(replica) for replica, _ in jobs]
-
-        # Group jobs by spatial bucket, in first-appearance order.
-        buckets: Dict[Tuple[int, ...], List[int]] = {}
-        for index, position in enumerate(positions):
-            buckets.setdefault(self._bucket_key(position), []).append(index)
-
-        bucket_order = sorted(buckets, key=lambda key: buckets[key][0])
-        units: List[LeaseWorkUnit] = []
-        unit_of_job: Dict[int, Tuple[int, int]] = {}
-        hot_zone_jobs = 0
-        batch_cap = max(2 * self.config.packing_parallel_min, len(jobs) // 8)
-        config = self.config
-        for key in bucket_order:
-            indices = buckets[key]
-            if len(indices) > batch_cap:
-                # Oversized bucket (the zone around a popular sink):
-                # leases would be all-foreign anyway.
-                hot_zone_jobs += len(indices)
-                continue
-            cached = self._rings.get(key)
-            if cached is not None and cached.size > _DIRECT_QUERY_MIN:
-                # The serial reference would serve this bucket from an
-                # already-cached ring — its own, grown over earlier
-                # passes, or a dominating neighbour's installed by
-                # _spill — whose level sets can cross the direct-query
-                # threshold and flip serial views to near-exact index
-                # queries no exact lease scan can replay. The fresh
-                # lease ring below can't see that, so check the cache
-                # too and keep such buckets serial.
-                hot_zone_jobs += len(indices)
-                continue
-            min_threshold = min(
-                self._threshold(min(p.left_partitions) + min(p.right_partitions))
-                for p in (partitionings[i] for i in indices)
-            )
-            center = positions[indices[0]].copy()
-            r_full = self._r_full(center)
-            radius = self._seed_radius(
-                config.packing_ring_start_k + 4 * len(indices)
-            )
-            ring = _Ring(center, min_threshold, min(radius, r_full), r_full)
-            self._fetch(ring)
-            if ring.size > _DIRECT_QUERY_MIN:
-                # Degenerate zone: the serial path would answer through
-                # near-exact direct index queries, which a worker's exact
-                # ring scan can diverge from — keep it serial. (Skipped
-                # before ownership, like the oversized rule, so the
-                # claim map stays worker-count independent.)
-                hot_zone_jobs += len(indices)
-                continue
-            # Leases need the full id set up front (ownership map, local
-            # availability snapshots), unlike cached rings which translate
-            # only the hosts actually returned.
-            ring.materialize_ids()
-            # Geometric ownership: a unit owns exactly the ring slots
-            # whose node sits inside its own bucket cell. Cells tile the
-            # space, so ownership is disjoint across units by
-            # construction and — unlike first-come claiming — depends
-            # only on node coordinates, never on bucket order: adjacent
-            # dense cells around a hot sink each get a real lease
-            # instead of the first one claiming the whole zone. Nodes in
-            # cells without a unit stay unowned (foreign to everyone);
-            # only the serial stream may consume them.
-            foreign = np.ones(ring.size, dtype=bool)
-            lease_nodes: List[str] = []
-            for slot in range(ring.size):
-                if self._bucket_key(ring.points[slot]) == key:
-                    foreign[slot] = False
-                    lease_nodes.append(ring.ids[slot])
-            if not lease_nodes:
-                # A cell with jobs but no qualifying nodes: every
-                # placement would defer on the first fresh-host request.
-                hot_zone_jobs += len(indices)
-                continue
-            if self._contended(lease_nodes):
-                hot_zone_jobs += len(indices)
-                continue
-            unit_index = len(units)
-            for local_index, job_index in enumerate(indices):
-                unit_of_job[job_index] = (unit_index, local_index)
-            unit = LeaseWorkUnit(
-                index=unit_index,
-                job_indices=list(indices),
-                replicas=[jobs[i][0] for i in indices],
-                positions=[positions[i] for i in indices],
-                ring_center=ring.center,
-                ring_min_value=ring.min_value,
-                ring_radius=ring.radius,
-                ring_r_full=ring.r_full,
-                ring_ids=ring.ids,
-                ring_dists=ring.dists,
-                ring_points=ring.points,
-                ring_exhausted=ring.exhausted,
-                foreign=foreign,
-                snapshot={
-                    node_id: available.get(node_id, 0.0) for node_id in lease_nodes
-                },
-                min_capacity=config.min_available_capacity,
-                sigma=config.sigma,
-                bandwidth_threshold=config.bandwidth_threshold,
-            )
-            if self._unit_hook is not None:
-                self._unit_hook(unit)
-            units.append(unit)
-
-        # Kick off speculation; joins are lazy, so the hot zone below
-        # streams through the serial engine while workers run.
-        worker_count = min(workers, len(units)) or 1
-        handles = self.execution.start(_pack_lease_unit, units)
-
-        outcomes: List[Optional[AssignmentOutcome]] = [None] * len(jobs)
-        results: List[Optional[LeaseResult]] = [None] * len(units)
-        spoiled: Set[str] = set()
-        poisoned: Set[int] = set()
-        speculated = 0
-        cleanup = 0
-
-        def recompute(index: int) -> None:
-            replica, _ = jobs[index]
-            outcome = self.place_replica(
-                replica, positions[index], available, partitioning=partitionings[index]
-            )
-            outcomes[index] = outcome
-            for sub in outcome.subs:
-                spoiled.add(sub.node_id)
-
-        for index in range(len(jobs)):
-            slot_info = unit_of_job.get(index)
-            if slot_info is None:
-                recompute(index)
-                continue
-            unit_index, local_index = slot_info
-            result = results[unit_index]
-            if result is None:
-                result = handles[unit_index]()
-                results[unit_index] = result
-                worker_key = f"w{unit_index % worker_count}"
-                self.stats.worker_cells[worker_key] = (
-                    self.stats.worker_cells.get(worker_key, 0) + result.cells
-                )
-            ops = result.ops[local_index]
-            if ops is None:
-                # The worker could not prove this job inside its lease.
-                # (Safe for the rest of the unit: the worker rolled the
-                # deferred job's writes back before later jobs
-                # speculated, so nothing observed them.)
-                cleanup += 1
-                recompute(index)
-                continue
-            unit = units[unit_index]
-            ring_ids = unit.ring_ids
-            if unit_index in poisoned or any(
-                ring_ids[slot] in spoiled for slot, _, _, _ in ops
-            ):
-                # A serial recompute wrote one of the op hosts after the
-                # snapshot: the speculation's arithmetic no longer
-                # replays exactly — redo it at the original position.
-                # Discarding these ops also poisons the rest of the
-                # unit: later unit jobs speculated on top of the
-                # discarded writes, so lease nodes this job drained but
-                # its serial recompute never touched now hold *more*
-                # live capacity than those workers assumed — their
-                # rejections of such nodes are no longer provable and
-                # they must recompute serially too.
-                poisoned.add(unit_index)
-                cleanup += 1
-                recompute(index)
-                continue
-            replica, _ = jobs[index]
-            partitioning = partitionings[index]
-            subs: List[SubReplicaPlacement] = []
-            for slot, i, j, charged in ops:
-                node_id = ring_ids[slot]
-                if charged:
-                    available[node_id] = available.get(node_id, 0.0) - charged
-                subs.append(_make_sub(replica, node_id, i, j, partitioning, charged))
-            outcomes[index] = AssignmentOutcome(
-                subs=subs,
-                partitioning=partitioning,
-                overload_accepted=False,
-                cells_placed=len(subs),
-            )
-            speculated += 1
-
-        self.stats.batches += len(units)
-        self.stats.hot_zone += hot_zone_jobs
-        self.stats.speculated += speculated
-        self.stats.deferred += cleanup
-        self.stats.workers_used = max(self.stats.workers_used, worker_count)
-        return [outcome for outcome in outcomes if outcome is not None]

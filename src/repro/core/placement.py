@@ -448,16 +448,6 @@ class Placement:
         bucket = self._by_node.get(node_id)
         return list(bucket.values()) if bucket is not None else []
 
-    def node_sub_count(self, node_id: str) -> int:
-        """How many sub-replicas a node hosts (O(1), no materialization).
-
-        The packing engine's contention-aware scheduler probes this per
-        lease node to decide whether a zone is dense enough to route
-        past speculation — it must stay bucket-length cheap.
-        """
-        bucket = self._by_node.get(node_id)
-        return len(bucket) if bucket is not None else 0
-
     def subs_of_replica(self, replica_id: str) -> List[SubReplicaPlacement]:
         """Sub-replicas belonging to one join pair replica."""
         bucket = self._by_replica.get(replica_id)

@@ -488,8 +488,7 @@ class PlacementPipeline:
     the old ``cost_space=`` kwarg hack. Hooks observe every stage
     boundary: ``before_stage(fn(stage_name, context))`` and
     ``after_stage(fn(StageReport, context))``. Each stage is a
-    self-contained work unit over the shared :class:`PlanContext`, which
-    is what a process-pool execution backend would distribute.
+    self-contained work unit over the shared :class:`PlanContext`.
     """
 
     def __init__(

@@ -135,6 +135,10 @@ def plan_delta_from_dict(data: Dict) -> PlanDelta:
             f"(expected {FORMAT_VERSION})"
         )
     timings_data = data.get("timings")
+    if timings_data:
+        # Archives may carry counters that PhaseTimings no longer has.
+        known = {spec.name for spec in fields(PhaseTimings)}
+        timings_data = {k: v for k, v in timings_data.items() if k in known}
     return PlanDelta(
         events_staged=int(data.get("events_staged", 0)),
         events_applied=int(data.get("events_applied", 0)),
@@ -225,14 +229,6 @@ def session_summary(session: NovaSession) -> Dict:
             "cursor_cache_hits": session.timings.cursor_cache_hits,
             "cursor_cache_misses": session.timings.cursor_cache_misses,
             "cursor_cache_hit_rate": session.timings.cursor_cache_hit_rate,
-            "execution_backend": session.config.execution_backend,
-            "workers": session.config.packing_workers,
-            "workers_used": session.timings.packing_workers_used,
-            "batches": session.timings.packing_batches,
-            "deferred": session.timings.packing_deferred,
-            "speculated": session.timings.packing_speculated,
-            "hot_zone": session.timings.packing_hot_zone,
-            "cleanup_deferred": session.timings.cleanup_deferred,
         },
         "state_plane": {
             # Running totals over every batch applied to this session:

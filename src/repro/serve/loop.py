@@ -30,8 +30,7 @@ loop short of a signal.
 Shutdown: SIGINT/SIGTERM (or :meth:`ServeLoop.request_stop`) stop the
 sources, drain the queue and the in-flight window through the same
 apply path (archiving their ``PlanDelta``s), write a final status
-report, and ``session.close()`` the execution backends. A drained exit
-returns 0.
+report, and close the archives. A drained exit returns 0.
 """
 
 from __future__ import annotations
@@ -473,7 +472,6 @@ class ServeLoop:
                 signal.signal(signum, handler)
             self.dead_letters.close()
             self.deltas.close()
-            self.session.close()
 
     def _locked_snapshot(self) -> Dict:
         """A status snapshot consistent with in-flight window applies."""

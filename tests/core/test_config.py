@@ -52,3 +52,27 @@ class TestValidation:
             NovaConfig(sigma=None, bandwidth_threshold=None)
         config = NovaConfig(sigma=None, bandwidth_threshold=100.0)
         assert config.bandwidth_threshold == 100.0
+
+
+class TestRetainedPackingFields:
+    """Phase III packs serially; the two old knobs accept only that."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_serial_values_accepted(self, backend):
+        config = NovaConfig(packing_workers=1, execution_backend=backend)
+        assert config.packing_workers == 1
+        assert config.execution_backend == backend
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"packing_workers": 2},
+            {"packing_workers": 0},
+            {"packing_workers": "auto"},
+            {"execution_backend": "process"},
+            {"execution_backend": "gpu"},
+        ],
+    )
+    def test_parallel_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="parallel packing was removed"):
+            NovaConfig(**kwargs)

@@ -1,12 +1,14 @@
-"""The Phase III packing engine: shared cursor cache, leases, workers."""
+"""The Phase III packing engine: shared cursor cache and nearest-host search."""
 
 import numpy as np
 import pytest
 
+from repro.core import packing
 from repro.core.assignment import place_replica
 from repro.core.config import NovaConfig
 from repro.core.cost_space import AvailabilityLedger, CostSpace
-from repro.core.packing import PackingEngine
+from repro.core.packing import PackingEngine, _walk_cells
+from repro.core.partitioning import plan_partitions
 from repro.query.expansion import JoinPairReplica
 
 
@@ -30,10 +32,7 @@ def cluster_scenario(seed=0, clusters=4, nodes_per_cluster=40, replicas_per_clus
 
     Each replica's virtual position sits inside its own cluster, every
     candidate ring eventually reaches other clusters only at distances no
-    placement will ever prefer, and capacities are generous — so serial
-    and lease-parallel packing must produce identical placements no
-    matter how replicas split between workers and the serial cleanup
-    pass.
+    placement will ever prefer, and capacities are generous.
     """
     rng = np.random.default_rng(seed)
     centers = [np.array([50_000.0 * i, 20_000.0 * (i % 2)]) for i in range(clusters)]
@@ -55,7 +54,7 @@ def cluster_scenario(seed=0, clusters=4, nodes_per_cluster=40, replicas_per_clus
 
 
 def run_engine(coords, capacities, jobs, **config_overrides):
-    config = NovaConfig(seed=1, packing_parallel_min=1, **config_overrides)
+    config = NovaConfig(seed=1, **config_overrides)
     cost_space = CostSpace(coords, config)
     available = AvailabilityLedger(cost_space, backing=dict(capacities))
     engine = PackingEngine(cost_space, config)
@@ -69,94 +68,6 @@ def placement_signature(outcomes):
         for outcome in outcomes
         for sub in outcome.subs
     ]
-
-
-class TestSerialParallelParity:
-    def test_cluster_workload_identical_across_worker_counts(self):
-        coords, capacities, jobs = cluster_scenario()
-        reference = None
-        for workers in (1, 2, 4, 8):
-            _, available, outcomes = run_engine(
-                coords, capacities, jobs, packing_workers=workers
-            )
-            signature = placement_signature(outcomes)
-            if reference is None:
-                reference = (signature, dict(available))
-            else:
-                assert signature == reference[0], f"workers={workers} diverged"
-                assert dict(available) == reference[1]
-
-    def test_cluster_workload_identical_across_seeds(self):
-        for seed in (0, 7, 23):
-            coords, capacities, jobs = cluster_scenario(seed=seed)
-            serial = placement_signature(
-                run_engine(coords, capacities, jobs, packing_workers=1)[2]
-            )
-            parallel = placement_signature(
-                run_engine(coords, capacities, jobs, packing_workers=3)[2]
-            )
-            assert serial == parallel, f"seed {seed} diverged"
-
-    def test_parallel_outcomes_keep_job_order(self):
-        coords, capacities, jobs = cluster_scenario(seed=3)
-        _, _, outcomes = run_engine(coords, capacities, jobs, packing_workers=4)
-        assert [o.subs[0].replica_id for o in outcomes] == [
-            replica.replica_id for replica, _ in jobs
-        ]
-
-    def test_parallel_counters_reported(self):
-        coords, capacities, jobs = cluster_scenario(seed=5)
-        engine, _, _ = run_engine(coords, capacities, jobs, packing_workers=2)
-        assert engine.stats.workers_used >= 1
-        assert engine.stats.batches + engine.stats.deferred > 0
-        assert sum(engine.stats.worker_cells.values()) >= 0
-
-
-class TestCommitTimeSpoilPoisonsUnit:
-    def test_hot_zone_write_between_unit_jobs_poisons_later_jobs(self):
-        """Regression: the first commit-time spoil must poison its unit.
-
-        Hot-zone job H (ordered first, in a node-less bucket) lightly
-        drains X, the lease bucket's closest node. C's worker
-        speculatively filled X, so C's ops are spoiled and C recomputes
-        serially — landing on W and leaving X with capacity. D's worker
-        speculated *after* C drained X, rejected it, and chose Y; but
-        the serial reference places D on X (C's discarded drain never
-        happened there). Committing D's ops verbatim would silently
-        diverge — D must be recomputed because its unit is poisoned.
-        """
-        coords = {
-            "P1": np.array([-1.0, -1.0]),
-            "P2": np.array([20.0, 20.0]),
-            "W": np.array([3.0, 5.0]),
-            "X": np.array([5.0, 5.0]),
-            "Y": np.array([8.0, 5.0]),
-        }
-        capacities = {"P1": 100.0, "P2": 100.0, "W": 10.0, "X": 10.0, "Y": 10.0}
-        jobs = [
-            # sigma=1.0 keeps every grid 1x1, so cell demand = 2 * rate.
-            (make_replica("H", "P1", "P2", "P1", rate=2.0), np.array([5.0, 12.0])),
-            (make_replica("C", "P1", "P2", "P1", rate=3.5), np.array([5.2, 5.0])),
-            (make_replica("D", "P1", "P2", "P1", rate=2.5), np.array([6.0, 5.0])),
-        ]
-        overrides = dict(sigma=1.0, packing_bucket_grid=2)
-        _, serial_avail, serial = run_engine(
-            coords, capacities, jobs, packing_workers=1, **overrides
-        )
-        # Pin the scenario: H -> X (light drain), C -> W (X now too
-        # drained for C), D -> X (still fits D's smaller demand).
-        assert [o.subs[0].node_id for o in serial] == ["X", "W", "X"]
-        engine, parallel_avail, parallel = run_engine(
-            coords, capacities, jobs, packing_workers=2, **overrides
-        )
-        assert placement_signature(parallel) == placement_signature(serial)
-        assert dict(parallel_avail) == dict(serial_avail)
-        # The parallel run really exercised the poison path: H streamed
-        # through the hot zone, C was spoiled, D was poisoned — nothing
-        # committed verbatim.
-        assert engine.stats.hot_zone == 1
-        assert engine.stats.speculated == 0
-        assert engine.stats.deferred == 2
 
 
 class TestSharedCursorCache:
@@ -276,37 +187,195 @@ class TestWrapperCompatibility:
         assert outcome.subs
 
 
-class TestParallelEndToEnd:
-    def test_session_parity_on_synthetic_workload(self):
-        from repro.core.optimizer import Nova
-        from repro.topology.latency import DenseLatencyMatrix
-        from repro.workloads.synthetic import synthetic_opp_workload
+# -- brute-force nearest-host oracle -------------------------------------
+LEG_RING = "ring"
+LEG_DIRECT = "direct"
+LEG_SCANNED = "scanned"
+LEGS = (LEG_RING, LEG_DIRECT, LEG_SCANNED)
 
-        workload = synthetic_opp_workload(300, seed=19)
-        latency = DenseLatencyMatrix.from_topology(workload.topology)
-        sessions = {}
-        for workers in (1, 2, 4):
-            sessions[workers] = Nova(
-                NovaConfig(seed=19, packing_workers=workers)
-            ).optimize(workload.topology, workload.plan, workload.matrix, latency=latency)
-        serial = sessions[1]
-        serial_placed = [
-            (s.sub_id, s.node_id, s.charged_capacity)
-            for s in serial.placement.sub_replicas
+# (kind, seed). "clustered" nodes sit in a few blobs with generous room;
+# "tight" uses the same blobs with too little room, so the spread
+# fallback has to run; "fine" spreads nodes uniformly and uses
+# sigma=0.1, so every replica splits into many small cells that drain
+# small nodes and force rings and direct cursors to grow;
+# "lattice" puts nodes on an integer grid and replicas between them, so
+# several hosts sit at exactly the same distance.
+ORACLE_INSTANCES = (
+    [("clustered", seed) for seed in range(20, 28)]
+    + [("fine", seed) for seed in range(10, 16)]
+    + [("tight", seed) for seed in range(21, 24)]
+    + [("lattice", seed) for seed in range(201, 204)]
+)
+# The direct path orders equal distances as the index returns them, not
+# by node id, so exact ties are checked on the two exact ring paths only.
+ORACLE_CASES = [
+    (leg, kind, seed)
+    for kind, seed in ORACLE_INSTANCES
+    for leg in LEGS
+    if not (kind == "lattice" and leg == LEG_DIRECT)
+]
+CAPACITY_RANGE = {
+    "clustered": (5.0, 80.0),
+    "fine": (3.0, 15.0),
+    "tight": (0.0, 4.0),
+    "lattice": (5.0, 40.0),
+}
+
+
+def oracle_instance(kind, seed):
+    """A random instance below ``exact_proof_limit``.
+
+    Returns node coordinates, capacities, jobs and config overrides.
+    Left and right rates differ per replica so partition grids are
+    rectangular; bucket grid and minimum capacity vary with the seed.
+    """
+    rng = np.random.default_rng(seed)
+    overrides = {
+        "packing_bucket_grid": int(rng.choice([4, 32, 128])),
+        "min_available_capacity": float(rng.choice([0.0, 2.0])),
+    }
+    if kind == "fine":
+        overrides["sigma"] = 0.1
+    if kind == "lattice":
+        side = int(rng.integers(10, 24))
+        points = [np.array([float(i % side), float(i // side)]) for i in range(side * side)]
+    elif kind in ("clustered", "tight"):
+        centers = rng.uniform(0.0, 200.0, size=(int(rng.integers(2, 6)), 2))
+        points = [
+            centers[int(rng.integers(len(centers)))] + rng.normal(scale=12.0, size=2)
+            for _ in range(int(rng.integers(120, 600)))
         ]
-        for workers in (2, 4):
-            parallel = sessions[workers]
-            # Bit-identical placement and ledger: speculative lease
-            # packing commits in original job order, so every worker
-            # count reproduces the serial engine's exact state.
-            assert [
-                (s.sub_id, s.node_id, s.charged_capacity)
-                for s in parallel.placement.sub_replicas
-            ] == serial_placed
-            assert dict(parallel.available) == dict(serial.available)
-            assert (
-                parallel.placement.overload_accepted
-                == serial.placement.overload_accepted
+    else:
+        points = list(rng.uniform(0.0, 200.0, size=(int(rng.integers(150, 600)), 2)))
+    coords = {f"n{i:03d}": point for i, point in enumerate(points)}
+    ids = sorted(coords)
+    low, high = CAPACITY_RANGE[kind]
+    capacities = {node_id: float(rng.uniform(low, high)) for node_id in ids}
+    jobs = []
+    for r in range(len(ids) // 8):
+        left, right, sink = (ids[int(k)] for k in rng.integers(0, len(ids), size=3))
+        replica = JoinPairReplica(
+            replica_id=f"r{r}",
+            join_id="join",
+            left_source=f"L{r}",
+            right_source=f"R{r}",
+            left_node=left,
+            right_node=right,
+            sink_id="sink_op",
+            sink_node=sink,
+            left_rate=float(rng.uniform(1.0, 30.0)),
+            right_rate=float(rng.uniform(1.0, 30.0)),
+        )
+        if kind == "lattice":
+            position = rng.integers(0, side, size=2).astype(float) + 0.5
+        elif kind in ("clustered", "tight"):
+            position = centers[int(rng.integers(len(centers)))] + rng.normal(
+                scale=10.0, size=2
             )
-        for session in sessions.values():
-            session.close()
+        else:
+            position = rng.uniform(0.0, 200.0, size=2)
+        jobs.append((replica, position))
+    return coords, capacities, jobs, overrides
+
+
+def brute_force_pack(coords, capacities, jobs, config):
+    """The packing loop with every index query replaced by a full scan.
+
+    Fresh hosts are the minimum of (squared distance, node id) over every
+    node with enough room; spread candidates are the true k nearest
+    nodes. The grid walk itself is the engine's own ``_walk_cells``.
+    """
+    ids = sorted(coords)
+    points = np.vstack([coords[node_id] for node_id in ids])
+    ledger = dict(capacities)
+    c_min = config.min_available_capacity
+    placed = []
+    for replica, position in jobs:
+        diffs = points - np.asarray(position, dtype=float)
+        d2 = np.einsum("ij,ij->i", diffs, diffs)
+
+        def fresh_host(demand, d2=d2):
+            need = max(demand, c_min, 1e-12)
+            room = np.array([ledger.get(node_id, 0.0) for node_id in ids])
+            candidates = np.nonzero(room >= need)[0]
+            if not len(candidates):
+                return None
+            nearest = candidates[d2[candidates] == d2[candidates].min()]
+            return ids[int(nearest[0])]  # ids are sorted: minimal id wins
+
+        def spread(count, d2=d2):
+            order = sorted(range(len(ids)), key=lambda k: (d2[k], ids[k]))
+            return [(ids[k], float(np.sqrt(d2[k]))) for k in order[: max(count, 4)]]
+
+        partitioning = plan_partitions(
+            replica.left_rate,
+            replica.right_rate,
+            sigma=config.sigma,
+            bandwidth_threshold=config.bandwidth_threshold,
+        )
+        cells, overload = _walk_cells(partitioning, ledger, fresh_host, spread, c_min)
+        placed.append(
+            (
+                [
+                    (f"{replica.replica_id}/{i}x{j}", node_id, charged)
+                    for node_id, i, j, charged in cells
+                ],
+                overload,
+            )
+        )
+    return placed, ledger
+
+
+def count_calls(monkeypatch, name):
+    calls = {"n": 0}
+    original = getattr(packing._RingView, name)
+
+    def counted(self, *args, **kwargs):
+        calls["n"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(packing._RingView, name, counted)
+    return calls
+
+
+class TestNearestHostOracle:
+    """``PackingEngine.pack`` equals a brute-force search, replica by replica."""
+
+    @pytest.mark.parametrize("leg,kind,seed", ORACLE_CASES)
+    def test_pack_matches_brute_force(self, monkeypatch, leg, kind, seed):
+        coords, capacities, jobs, overrides = oracle_instance(kind, seed)
+        config = NovaConfig(seed=1, **overrides)
+        assert len(coords) < config.exact_proof_limit
+        paths = {
+            LEG_RING: "_nearest_screened",
+            LEG_DIRECT: "_nearest_direct",
+            LEG_SCANNED: "_nearest_scanned",
+        }
+        calls = count_calls(monkeypatch, paths[leg])
+        if leg == LEG_DIRECT:
+            monkeypatch.setattr(packing, "_DIRECT_QUERY_MIN", 16)
+        if leg == LEG_SCANNED:
+            # About a tenth of the nodes enter after the build and sit in
+            # the index's add-buffer, so rings carry no tree rows.
+            late = sorted(coords)[::10]
+            cost_space = CostSpace(
+                {k: v for k, v in coords.items() if k not in late}, config
+            )
+            for node_id in late:
+                cost_space.restore_node(node_id, coords[node_id])
+        else:
+            cost_space = CostSpace(coords, config)
+        available = AvailabilityLedger(cost_space, backing=dict(capacities))
+        outcomes = PackingEngine(cost_space, config).pack(jobs, available)
+
+        expected, ledger = brute_force_pack(coords, capacities, jobs, config)
+        assert len(outcomes) == len(expected)
+        for outcome, (cells, overload) in zip(outcomes, expected):
+            assert [
+                (sub.sub_id, sub.node_id, sub.charged_capacity) for sub in outcome.subs
+            ] == cells
+            assert outcome.overload_accepted == overload
+        assert dict(available) == ledger
+        assert calls["n"] > 0, f"the {leg} leg never ran {paths[leg]}"
+        if kind == "tight":
+            assert any(outcome.overload_accepted for outcome in outcomes)

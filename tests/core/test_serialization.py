@@ -152,6 +152,19 @@ class TestPlanDeltaRoundTrip:
         for key, value in session.placement.virtual_positions.items():
             assert np.allclose(replayed.virtual_positions[key], value)
 
+    def test_archived_counters_no_longer_tracked_are_ignored(self):
+        from repro.core.serialization import (
+            plan_delta_from_dict,
+            plan_delta_to_dict,
+        )
+
+        _, _, delta = self.make_delta()
+        data = plan_delta_to_dict(delta)
+        data["timings"]["packing_hot_zone"] = 3
+        rebuilt = plan_delta_from_dict(data)
+        assert rebuilt.timings.packing_passes == delta.timings.packing_passes
+        assert not hasattr(rebuilt.timings, "packing_hot_zone")
+
     def test_version_check(self):
         from repro.core.serialization import plan_delta_from_dict
 

@@ -39,6 +39,4 @@ def placement_signature(session):
 
 @pytest.fixture()
 def small_instance():
-    workload, session = build_session()
-    yield workload, session
-    session.close()
+    return build_session()

@@ -70,58 +70,56 @@ def capacity_raises(session, count):
 
 def test_monitor_matches_full_recount_after_every_window():
     workload, session = overloaded_session()
-    with session:
-        raises = capacity_raises(session, 5)
-        assert len(raises) == 5
-        loop = serve(session, raises + churn_events(workload, 55, seed=11))
-        checks = []
-        apply_window = loop.applier.apply
+    raises = capacity_raises(session, 5)
+    assert len(raises) == 5
+    loop = serve(session, raises + churn_events(workload, 55, seed=11))
+    checks = []
+    apply_window = loop.applier.apply
 
-        def checked(events, window, strict=False):
-            applied = apply_window(events, window, strict)
-            checks.append((monitor_state(session), recomputed_state(session)))
-            return applied
+    def checked(events, window, strict=False):
+        applied = apply_window(events, window, strict)
+        checks.append((monitor_state(session), recomputed_state(session)))
+        return applied
 
-        loop.applier.apply = checked
-        assert loop.run() == 0
-        assert len(checks) == 6
-        assert any(monitor[0] > 0 for monitor, _ in checks)
-        for monitor, recomputed in checks:
-            assert monitor == recomputed
+    loop.applier.apply = checked
+    assert loop.run() == 0
+    assert len(checks) == 6
+    assert any(monitor[0] > 0 for monitor, _ in checks)
+    for monitor, recomputed in checks:
+        assert monitor == recomputed
 
 
 def test_monitor_matches_full_recount_after_window_rollback(monkeypatch):
     workload, session = overloaded_session()
-    with session:
-        loop = serve(session, churn_events(workload, 40, seed=17))
-        place = session.place_replicas
-        calls = {"n": 0}
+    loop = serve(session, churn_events(workload, 40, seed=17))
+    place = session.place_replicas
+    calls = {"n": 0}
 
-        def failing_once(replicas):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("injected packing failure")
-            return place(replicas)
+    def failing_once(replicas):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise RuntimeError("injected packing failure")
+        return place(replicas)
 
-        monkeypatch.setattr(session, "place_replicas", failing_once)
-        rolled_back = []
-        apply_once = loop.applier._apply_once
+    monkeypatch.setattr(session, "place_replicas", failing_once)
+    rolled_back = []
+    apply_once = loop.applier._apply_once
 
-        def observed(events, window, retry):
-            before = monitor_state(session)
-            try:
-                return apply_once(events, window, retry)
-            except RuntimeError:
-                rolled_back.append(
-                    (before, monitor_state(session), recomputed_state(session))
-                )
-                raise
+    def observed(events, window, retry):
+        before = monitor_state(session)
+        try:
+            return apply_once(events, window, retry)
+        except RuntimeError:
+            rolled_back.append(
+                (before, monitor_state(session), recomputed_state(session))
+            )
+            raise
 
-        loop.applier._apply_once = observed
-        assert loop.run() == 0
-        assert len(rolled_back) == 1
-        before, after, recomputed = rolled_back[0]
-        assert before[0] > 0
-        assert after == before == recomputed
-        assert monitor_state(session) == recomputed_state(session)
-        assert loop.stats.window_retries == 1
+    loop.applier._apply_once = observed
+    assert loop.run() == 0
+    assert len(rolled_back) == 1
+    before, after, recomputed = rolled_back[0]
+    assert before[0] > 0
+    assert after == before == recomputed
+    assert monitor_state(session) == recomputed_state(session)
+    assert loop.stats.window_retries == 1

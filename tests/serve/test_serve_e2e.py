@@ -220,10 +220,10 @@ class TestBitIdentity:
             for entry in loop.deltas.entries
         ]
         assert [len(batch) for batch in batches] == [25] * 12
-        with fresh_session() as control:
-            for batch in batches:
-                control.apply(ChangeSet(batch))
-            control_signature = placement_signature(control)
+        control = fresh_session()
+        for batch in batches:
+            control.apply(ChangeSet(batch))
+        control_signature = placement_signature(control)
 
         assert served_signature == control_signature
 
@@ -248,15 +248,15 @@ class TestBitIdentity:
 
         workload2 = synthetic_opp_workload(80, seed=5)
         latency2 = DenseLatencyMatrix.from_topology(workload2.topology)
-        with Nova(NovaConfig(seed=5)).optimize(
+        control = Nova(NovaConfig(seed=5)).optimize(
             workload2.topology,
             workload2.plan,
             workload2.matrix,
             latency=latency2,
-        ) as control:
-            for entry in loop.deltas.entries:
-                batch = [
-                    decode_event_dict(event) for event in entry["events"]
-                ]
-                control.apply(ChangeSet(batch))
-            assert placement_signature(control) == served_signature
+        )
+        for entry in loop.deltas.entries:
+            batch = [
+                decode_event_dict(event) for event in entry["events"]
+            ]
+            control.apply(ChangeSet(batch))
+        assert placement_signature(control) == served_signature

@@ -154,32 +154,3 @@ class TestGracefulDrain:
         assert loop.stop_reason == "max-windows"
         assert loop.stats.windows_applied == 2
         assert loop.stats.events_applied == 20
-
-    def test_session_closed_on_exit(self, small_instance):
-        workload, session = small_instance
-        closed = []
-        original_close = session.close
-
-        def tracking_close():
-            closed.append(True)
-            original_close()
-
-        session.close = tracking_close
-        try:
-            events = churn_events(workload, 4)
-            loop = ServeLoop(
-                session,
-                [IterableSource(events)],
-                ServeSettings(
-                    window_ms=20.0,
-                    max_batch=4,
-                    queue_size=16,
-                    exit_on_eof=True,
-                    status_interval_s=0,
-                ),
-                status_stream=io.StringIO(),
-            )
-            assert loop.run() == 0
-            assert closed, "ServeLoop.run must close the session"
-        finally:
-            session.close = original_close

@@ -161,7 +161,6 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in (
             "journal-coverage",
-            "worker-purity",
             "determinism",
             "lock-discipline",
             "no-bare-except-in-loop",

@@ -55,27 +55,6 @@ class TestJournalCoverage:
         assert_clean(result, "clean.py")
 
 
-# -- worker-purity ------------------------------------------------------
-class TestWorkerPurity:
-    def test_violating_shapes_all_caught(self):
-        result = lint_fixture("worker")
-        found = findings_for(result, "violating.py", "worker-purity")
-        lines = {f.line for f in found}
-        # lock ctor, global, mutable-global reads, open, NovaSession,
-        # lambda entry, nested-function entry
-        assert {9, 15, 17, 19, 21, 30, 37}.issubset(lines)
-
-    def test_reachability_crosses_helper_calls(self):
-        result = lint_fixture("worker")
-        found = findings_for(result, "violating.py", "worker-purity")
-        # threading.Lock() lives in _helper, one call away from the entry
-        assert any("_helper" in f.message for f in found)
-
-    def test_clean_entry_and_driver_side_pass(self):
-        result = lint_fixture("worker")
-        assert_clean(result, "clean.py")
-
-
 # -- determinism --------------------------------------------------------
 class TestDeterminism:
     def test_violating_shapes_all_caught(self):
@@ -144,7 +123,6 @@ def test_every_rule_has_a_fixture_pair():
 
     covered = {
         "journal-coverage": "journal",
-        "worker-purity": "worker",
         "determinism": "determinism",
         "lock-discipline": "lockdisc",
         "no-bare-except-in-loop": "bareexcept",
@@ -156,7 +134,7 @@ def test_every_rule_has_a_fixture_pair():
 
 
 @pytest.mark.parametrize(
-    "case", ["journal", "worker", "determinism", "lockdisc", "bareexcept", "observed"]
+    "case", ["journal", "determinism", "lockdisc", "bareexcept", "observed"]
 )
 def test_violating_fixture_fails_the_exit_code(case):
     result = lint_fixture(case)

@@ -5,8 +5,6 @@ The rules encode project invariants the type system cannot express:
 * ``journal-coverage`` — state-plane mutations in ``src/repro/core/``
   must flow through the ``_SessionJournal`` hook surface, or rollback
   bit-identity silently breaks;
-* ``worker-purity`` — payloads crossing the execution-backend boundary
-  must stay pickle-lean and session-free;
 * ``determinism`` — no unordered iteration, stochastic calls, or
   unordered float accumulation in the planner's hot paths;
 * ``lock-discipline`` — serve-plane attributes declared

@@ -23,8 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.novalint",
         description=(
             "AST-based invariant linter for this repository: journal "
-            "coverage, worker picklability, determinism, serve-loop "
-            "lock discipline."
+            "coverage, determinism, serve-loop lock discipline."
         ),
     )
     parser.add_argument(

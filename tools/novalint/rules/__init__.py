@@ -6,5 +6,4 @@ from tools.novalint.rules import (  # noqa: F401  (imported for side effect)
     journal_coverage,
     lock_discipline,
     observed_list,
-    worker_purity,
 )

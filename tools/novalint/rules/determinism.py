@@ -1,8 +1,8 @@
 """determinism: the planner's bit-identity claim dies on unordered state.
 
-The ``(backend, workers)`` bit-identity guarantee (PR 7) and cross-run
-reproducibility both require that nothing in ``src/repro/core/`` or
-``src/repro/geometry/`` depends on hash order or wall-clock entropy:
+Bit-identical placements and cross-run reproducibility both require
+that nothing in ``src/repro/core/`` or ``src/repro/geometry/`` depends
+on hash order or wall-clock entropy:
 
 * iterating a ``set`` feeds whatever comes next — undeploy order,
   packing order, ledger write order (float credits on one node do not
