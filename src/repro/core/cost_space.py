@@ -88,78 +88,6 @@ class AvailabilityLedger(MutableMapping):
         return key in self._backing
 
 
-class NeighborhoodCursor:
-    """Streams the nearest nodes around a fixed point, batching queries.
-
-    Built for Phase III's grid walk: consecutive cells ask for the nearest
-    node able to host a fixed demand ``threshold``, around the *same*
-    virtual position, while availabilities only ever decrease. The cursor
-    over-fetches one neighbourhood (doubling ``k`` when it runs dry) and
-    answers subsequent requests from the cached batch, so a replica with
-    hundreds of grid cells issues a handful of index searches instead of
-    one per cell.
-
-    The threshold is fixed per cursor (a partitioned grid produces at most
-    four distinct cell demands, so Phase III keeps one cursor per level):
-    the cache is fetched with ``min_capacity=threshold`` and therefore
-    provably contains every node that could ever satisfy a request —
-    nodes missing from it either lie beyond the fetched horizon (covered
-    by re-fetching with a doubled k) or were already below the threshold,
-    and availability never grows while a replica is being placed. The
-    fixed threshold also means a node observed below it is dead for good,
-    so the scan window only moves forward: amortized O(1) per request,
-    and the underlying index search prunes everything below the threshold
-    via its per-subtree capacity maxima.
-    """
-
-    def __init__(
-        self,
-        index: NeighborIndex,
-        point: Sequence[float],
-        threshold: float,
-        start_k: int = 4,
-    ) -> None:
-        self._index = index
-        self._point = np.asarray(point, dtype=float)
-        self._threshold = max(float(threshold), 1e-12)
-        self._batch: List[Tuple[str, float]] = []
-        self._skip = 0  # permanently-dead prefix (below threshold for good)
-        self._k = max(int(start_k), 1)
-        self._exhausted = False
-        self._dry = False
-        self.queries = 0  # index searches issued (throughput reporting)
-
-    def next_host(self, available: Mapping[str, float]) -> Optional[str]:
-        """Nearest node with ``available >= threshold``, or None.
-
-        ``available`` is consulted live, so capacity consumed since the
-        batch was fetched is respected. Once the index runs out of
-        qualifying nodes the cursor stays dry (availability only shrinks).
-        """
-        if self._dry:
-            return None
-        while True:
-            batch = self._batch
-            while self._skip < len(batch):
-                node_id = batch[self._skip][0]
-                if available.get(node_id, 0.0) >= self._threshold:
-                    return node_id
-                # Below the threshold it can never qualify again.
-                self._skip += 1
-            if self._exhausted:
-                self._dry = True
-                return None
-            self._fetch()
-
-    def _fetch(self) -> None:
-        self._batch, self._exhausted = self._index.query_batch(
-            self._point, self._k, min_value=self._threshold
-        )
-        self._skip = 0
-        self._k *= 2
-        self.queries += 1
-
-
 class CostSpace:
     """Node coordinates plus a maintained k-NN index."""
 
@@ -306,21 +234,14 @@ class CostSpace:
 
     @property
     def availability_array(self) -> np.ndarray:
-        """Read-only per-row availability values (see :meth:`index_rows`).
+        """Read-only per-row availability values (rows of :meth:`within_rows`).
 
         Live: the array reflects every ledger write immediately, which
         lets the packing engine screen whole candidate rings against a
-        capacity threshold in one vectorized comparison.
+        capacity threshold in one vectorized comparison. Cached rows must
+        be dropped when :attr:`mutation_epoch` moves.
         """
         return self._index.value_array
-
-    def index_rows(self, node_ids: Sequence[str]) -> np.ndarray:
-        """Row indices of nodes inside :attr:`availability_array`.
-
-        Raises for buffered or removed nodes; cached rows must be dropped
-        when :attr:`mutation_epoch` moves.
-        """
-        return self._index.rows(node_ids)
 
     def distance(self, u: str, v: str) -> float:
         """Estimated latency between two nodes = coordinate distance (ms)."""
@@ -373,31 +294,24 @@ class CostSpace:
         radius: float,
         min_capacity: Optional[float] = None,
         inner_radius: float = 0.0,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Row-level :meth:`within` fast path (see ``NeighborIndex.within_rows``)."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row-level :meth:`within`: (distances, rows), complete over live nodes.
+
+        See ``NeighborIndex.within_rows``; rows index
+        :attr:`availability_array`, :meth:`node_id_of_row` and
+        :meth:`points_of_rows`.
+        """
         return self._index.within_rows(
             point, radius, min_value=min_capacity, inner_radius=inner_radius
         )
 
     def node_id_of_row(self, row: int) -> str:
-        """Translate an :meth:`index_rows` row back to its node id."""
+        """Translate a :meth:`within_rows` row back to its node id."""
         return self._index.node_id_of_row(row)
 
     def points_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Coordinates of index rows as one vectorized gather."""
         return self._index.points_of_rows(rows)
-
-    def neighborhood(
-        self, point: Sequence[float], threshold: float, start_k: int = 4
-    ) -> "NeighborhoodCursor":
-        """A cursor streaming the nearest nodes with capacity >= ``threshold``.
-
-        The cursor batches the underlying k-NN queries: one over-fetched
-        neighbourhood serves many consecutive requests, which is what keeps
-        Phase III's per-cell host lookups amortized-constant instead of one
-        index search per grid cell.
-        """
-        return NeighborhoodCursor(self._index, point, threshold, start_k=start_k)
 
     def set_available(self, node_id: str, value: float) -> None:
         """Register a node's available capacity for filtered k-NN queries.

@@ -28,27 +28,25 @@ outgrow their cell spill to the neighbouring cells they cover, so a hot
 zone materializes one shared neighbourhood instead of one copy per
 bucket. The cache is invalidated through
 :attr:`CostSpace.mutation_epoch` whenever a node joins/leaves or any
-availability *increases* (churn, undeploys).
+availability *increases* (churn, undeploys). Rings hold index rows
+only: nodes added since the index's last rebuild own rows too, so a
+churned session uses the same ring machinery as a fresh plan.
 
-A view answers a host request on one of three paths:
+A view answers a host request on one of two paths:
 
 * **screened** — one cached screen per quarter-octave demand level
   against the index's live availability array, then one masked argmin
   per host request (``_RingView._nearest_screened``);
-* **scanned** — rings fetched while some candidates sit in the index's
-  linear add-buffer carry no tree rows, so the view probes the ledger
-  in center-distance order with an exact early stop
-  (``_RingView._nearest_scanned``);
 * **direct** — in *degenerate* zones (candidate sets beyond
   ``_DIRECT_QUERY_MIN``, the saturated region at paper scale) the view
   bypasses the ring and streams hosts from per-view best-first index
   queries (``_RingView._nearest_direct``).
 
-The screened and scanned paths are exact and resolve equal distances
-by the minimal node id, so the winner never depends on which cached
-ring serves a view. Exhaustion stays exact on every path (a ring whose
-radius covers the bounding box, or a short index fetch, proves nothing
-qualifies), which the spread fallback relies on.
+The screened path is exact and resolves equal distances by the minimal
+node id, so the winner never depends on which cached ring serves a
+view. Exhaustion stays exact on both paths (a ring whose radius covers
+the bounding box, or a short index fetch, proves nothing qualifies),
+which the spread fallback relies on.
 
 All availability mutations go through the
 :class:`~repro.core.cost_space.AvailabilityLedger` mapping, whose
@@ -221,9 +219,6 @@ class _Ring:
         "min_value",
         "radius",
         "r_full",
-        "ids",
-        "resolver",
-        "dists",
         "points",
         "rows",
         "dead",
@@ -240,86 +235,58 @@ class _Ring:
         # Distance to the farthest bounding-box corner: a radius at or
         # beyond it provably covers every embedded node.
         self.r_full = float(r_full)
-        # Node ids are materialized lazily on the fast (row-based) path:
-        # only hosts actually returned pay the id translation.
-        self.ids: Optional[List[str]] = None
-        self.resolver: Optional[Callable[[int], str]] = None
-        self.dists = np.empty(0)
         self.points = np.empty((0, center.shape[0]))
-        # Tree-row indices of the ring nodes (None when some candidates sit
-        # in the index's linear add-buffer): enables vectorized screening
-        # of the whole ring against the live availability array.
-        self.rows: Optional[np.ndarray] = None
+        # Index rows of the ring nodes, in center-distance order per fetch:
+        # the whole ring screens against the live availability array, and
+        # only hosts actually returned pay the row -> id translation.
+        self.rows = np.empty(0, dtype=np.intp)
         # Nodes observed dead for the whole epoch (absent from the ledger):
         # excluded from every view's screen.
         self.dead = np.zeros(0, dtype=bool)
         self.horizon = 0.0
         self.exhausted = False
         self.version = -1
-        # Per power-of-two level: [version, slots, center_dists] of the
-        # candidates that passed the level bound when last screened.
-        # Values only decrease inside an epoch, so a cached set stays a
+        # Per quarter-octave level: [version, slots] of the candidates
+        # that passed the level bound when last screened. Values only
+        # decrease inside an epoch, so a cached set stays a
         # superset of the truth: views revalidate the few candidates they
         # actually touch, and refresh the set when it has decayed badly.
         self.alive_cache: Dict[int, List] = {}
 
-    def level_set(
-        self, key: int, bound: float, values: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(slots, center distances) at or above a quantized value bound.
+    def level_set(self, key: int, bound: float, values: np.ndarray) -> np.ndarray:
+        """Ring slots whose value is at or above a quantized bound.
 
         Shared across every view of the ring at this demand level; built
         once per ring version (and on decay refresh) instead of once per
-        view. Slots ascend, so the distances are sorted — which is what
-        lets views binary-search their own offset into the set. Levels
-        are quarter-octave (``bound = 2^(key/4)``): a coarser bucket
-        would leave a wide band of nodes below the actual threshold but
-        above the bound lingering in the set — in a drained hot zone at
-        paper scale, that zombie band is exactly what every view would
+        view. Levels are quarter-octave (``bound = 2^(key/4)``): a coarser
+        bucket would leave a wide band of nodes below the actual threshold
+        but above the bound lingering in the set — in a drained hot zone
+        at paper scale, that zombie band is exactly what every view would
         have to wade through.
         """
         cached = self.alive_cache.get(key)
         if cached is not None and cached[0] == self.version:
-            return cached[1], cached[2]
-        return self.refresh_level(key, bound, values)
-
-    def refresh_level(
-        self, key: int, bound: float, values: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+            return cached[1]
         mask = values[self.rows] >= bound
         mask &= ~self.dead
         slots = np.nonzero(mask)[0]
-        dists = self.dists[slots]
-        self.alive_cache[key] = [self.version, slots, dists]
-        return slots, dists
-
-    @property
-    def size(self) -> int:
-        return len(self.dists)
-
-    def node_id(self, slot: int) -> str:
-        if self.ids is not None:
-            return self.ids[slot]
-        return self.resolver(int(self.rows[slot]))
+        self.alive_cache[key] = [self.version, slots]
+        return slots
 
 
 class _RingView:
     """A per-replica view of a shared ring.
 
     Streams the nearest node (by distance to the replica's own position)
-    whose *live* availability passes the view's threshold. Views over a
-    row-based ring draw candidates from the ring's shared per-level slot
-    cache and run one masked argmin per host request over squared
-    distances computed once per view (``_nearest_screened``); degenerate
-    hot zones bypass the ring with per-view index queries
-    (``_nearest_direct``); rings fetched while candidates sit in the
-    index's add-buffer have no rows to screen, so their views scan the
-    ring in center-distance order with an exact triangle-inequality
-    early stop (``_nearest_scanned``). A hit is returned only when
-    provably no closer qualifying node can exist outside the ring
-    (``d <= horizon - offset``, or the ring is exhausted); otherwise the
-    ring grows (appending its new shell) and the search re-runs against
-    the rebuilt level set.
+    whose *live* availability passes the view's threshold. Views draw
+    candidates from the ring's shared per-level slot cache and run one
+    masked argmin per host request over squared distances computed once
+    per view (``_nearest_screened``); degenerate hot zones bypass the
+    ring with per-view index queries (``_nearest_direct``). A hit is
+    returned only when provably no closer qualifying node can exist
+    outside the ring (``d <= horizon - offset``, or the ring is
+    exhausted); otherwise the ring grows (appending its new shell) and
+    the search re-runs against the rebuilt level set.
     """
 
     __slots__ = (
@@ -358,10 +325,7 @@ class _RingView:
         self.offset = float(np.linalg.norm(self.point - ring.center))
         # Live per-row availability array for vectorized screening; the
         # ledger writes through to the index, so it is always current.
-        # Only usable when the ring knows its tree rows.
-        self.values = (
-            engine.cost_space.availability_array if ring.rows is not None else None
-        )
+        self.values = engine.cost_space.availability_array
         self.alive: Optional[np.ndarray] = None
         self.pd2: Optional[np.ndarray] = None
         self.screened_version = -3
@@ -379,30 +343,25 @@ class _RingView:
         ring = self.ring
         offset = self.offset
         while True:
-            if self.values is not None and ring.rows is None:
-                self.values = None
-            if self.values is not None:
-                # Moderate candidate sets are cheapest via one cached
-                # screen + masked argmin; degenerate sets (the saturated
-                # zone at paper scale) bypass the ring with per-view
-                # index queries.
-                level_slots, _ = ring.level_set(
-                    self.level_key, self.level_bound, self.values
-                )
-                if len(level_slots) > _DIRECT_QUERY_MIN:
-                    return self._nearest_direct(available)
-                best_slot, best_d = self._nearest_screened(available)
-            else:
-                best_slot, best_d = self._nearest_scanned(available)
+            # Moderate candidate sets are cheapest via one cached screen +
+            # masked argmin; degenerate sets (the saturated zone at paper
+            # scale) bypass the ring with per-view index queries.
+            level_slots = ring.level_set(self.level_key, self.level_bound, self.values)
+            if len(level_slots) > _DIRECT_QUERY_MIN:
+                return self._nearest_direct(available)
+            best_slot, best_d = self._nearest_screened(available)
             if best_slot >= 0:
                 if ring.exhausted or best_d <= ring.horizon - offset:
-                    return ring.node_id(best_slot)
+                    return self._node_id(best_slot)
                 target_radius = offset + best_d
             else:
                 if ring.exhausted:
                     return None
                 target_radius = max(ring.horizon, offset) * 2.0
             self.engine._grow(ring, target_radius)
+
+    def _node_id(self, slot: int) -> str:
+        return self.engine.cost_space.node_id_of_row(int(self.ring.rows[slot]))
 
     def _screen(self, available) -> None:
         """Build this view's candidate set from the shared level set.
@@ -414,13 +373,13 @@ class _RingView:
         """
         ring = self.ring
         values = self.values
-        base, _ = ring.level_set(self.level_key, self.level_bound, values)
+        base = ring.level_set(self.level_key, self.level_bound, values)
         base_values = values[ring.rows[base]]
         live = ~ring.dead[base]
         level_alive = (base_values >= self.level_bound) & live
         if int(level_alive.sum()) * 2 < len(base):
             base = base[level_alive]
-            ring.alive_cache[self.level_key] = [ring.version, base, ring.dists[base]]
+            ring.alive_cache[self.level_key] = [ring.version, base]
             base_values = base_values[level_alive]
             live = live[level_alive]
         alive = base[(base_values >= self.threshold) & live]
@@ -453,7 +412,7 @@ class _RingView:
             if values[int(ring.rows[slot])] < threshold or ring.dead[slot]:
                 pd2[j] = math.inf
                 continue
-            node_id = ring.node_id(slot)
+            node_id = self._node_id(slot)
             if available.get(node_id, 0.0) < threshold:
                 # The live array said alive but the ledger disagrees: the
                 # node is not in this placement's capacity map at all, so
@@ -461,10 +420,9 @@ class _RingView:
                 ring.dead[slot] = True
                 pd2[j] = math.inf
                 continue
-            # Exact distance ties resolve by node id — the same rule the
-            # scanned path applies — so the winner never depends on which
-            # cached ring (possibly a spilled neighbour's, with a different
-            # center order) happens to serve this view.
+            # Exact distance ties resolve by node id, so the winner never
+            # depends on which cached ring (possibly a spilled neighbour's,
+            # with a different center order) happens to serve this view.
             for t in np.nonzero(pd2 == d2)[0]:
                 other = int(self.alive[int(t)])
                 if other == slot:
@@ -472,7 +430,7 @@ class _RingView:
                 if values[int(ring.rows[other])] < threshold or ring.dead[other]:
                     pd2[int(t)] = math.inf
                     continue
-                other_id = ring.node_id(other)
+                other_id = self._node_id(other)
                 if available.get(other_id, 0.0) < threshold:
                     ring.dead[other] = True
                     pd2[int(t)] = math.inf
@@ -519,62 +477,6 @@ class _RingView:
                 return None
             self.direct_k *= 4
             self.direct = None
-
-    def _nearest_scanned(self, available) -> Tuple[int, float]:
-        """Scalar path: chunked scan in center order with exact early stop.
-
-        Serves rings fetched while some candidates sat in the index's
-        linear add-buffer: such a ring has no tree rows, so there is no
-        live availability array to screen and each candidate is probed
-        through the ledger instead. Scans candidates in the ring's
-        center-distance order and stops once the next candidate's center
-        distance minus the view's offset exceeds the best hit (triangle
-        inequality) — O(window) per request, no O(ring) screen per view.
-        Exact distance ties resolve by node id, matching
-        ``_nearest_screened``, so the choice is independent of this
-        ring's center order. Returns ``(slot, distance)``, or
-        ``(-1, inf)`` when no ring candidate qualifies.
-        """
-        ring = self.ring
-        threshold = self.threshold
-        offset = self.offset
-        point = self.point
-        dists = ring.dists
-        size = ring.size
-        best_slot = -1
-        best_d2 = math.inf
-        best_d = math.inf
-        i = 0
-        while i < size:
-            if dists[i] - offset > best_d:
-                break
-            end = min(i + 64, size)
-            hits = [
-                slot
-                for slot in range(i, end)
-                if available.get(ring.node_id(slot), 0.0) >= threshold
-            ]
-            if hits:
-                diffs = ring.points[hits] - point
-                pd2 = np.einsum("ij,ij->i", diffs, diffs)
-                j = int(np.argmin(pd2))
-                d2 = float(pd2[j])
-                if d2 <= best_d2:
-                    # Ties are compared on the squared distances (the
-                    # per-node arithmetic is identical on both paths,
-                    # while sqrt can collapse distinct values).
-                    for t in np.nonzero(pd2 == d2)[0]:
-                        slot = int(hits[int(t)])
-                        if (
-                            best_slot < 0
-                            or d2 < best_d2
-                            or ring.node_id(slot) < ring.node_id(best_slot)
-                        ):
-                            best_slot = slot
-                            best_d2 = d2
-                            best_d = math.sqrt(d2)
-            i = end
-        return best_slot, best_d
 
 
 def _walk_cells(
@@ -783,46 +685,30 @@ class PackingEngine:
         return int(math.floor(math.log2(max(threshold, 1e-12))))
 
     def _fetch(self, ring: _Ring) -> None:
-        """(Re-)materialize a ring; also the growth step.
+        """(Re-)materialize a ring.
 
         A radius query is complete by construction (``horizon`` *is* the
         radius), evaluates leaves wholesale with no k-heap, and needs no
         minimality proof — the reason rings are cheap enough to refetch.
         """
         self.stats.knn_queries += 1
-        fast = self.cost_space.within_rows(
+        _, rows = self.cost_space.within_rows(
             ring.center, ring.radius, min_capacity=ring.min_value
         )
-        if fast is not None:
-            dists, rows = fast
-            ring.dists = dists
-            ring.rows = np.asarray(rows, dtype=np.intp)
-            ring.points = self.cost_space.points_of_rows(ring.rows)
-            ring.ids = None
-            ring.resolver = self.cost_space.node_id_of_row
-        else:
-            # Buffered additions make the row-level answer incomplete; fall
-            # back to the id-based query (views then probe availability
-            # through the ledger instead of the vectorized screen).
-            results = self.cost_space.within(
-                ring.center, ring.radius, min_capacity=ring.min_value
-            )
-            ring.ids = [node_id for node_id, _ in results]
-            ring.dists = np.array([dist for _, dist in results], dtype=float)
-            ring.points = self.cost_space.positions_batch(ring.ids)
-            ring.rows = None
-        ring.dead = np.zeros(ring.size, dtype=bool)
+        ring.rows = np.asarray(rows, dtype=np.intp)
+        ring.points = self.cost_space.points_of_rows(ring.rows)
+        ring.dead = np.zeros(len(ring.rows), dtype=bool)
         ring.exhausted = ring.radius >= ring.r_full
         ring.horizon = ring.radius
         ring.version += 1
 
     def _grow(self, ring: _Ring, target_radius: float) -> None:
-        """Extend a ring to cover ``target_radius`` (at least doubling).
+        """Extend a ring to cover ``target_radius`` by fetching its new annulus.
 
-        On the row-based fast path only the new annulus is fetched and
-        appended — the interior was already materialized and stays sorted
-        by center distance — so repeated growth of a hot ring costs the
-        final ring size once instead of once per growth step.
+        Only the shell beyond the current radius is fetched and appended —
+        the interior was already materialized — so repeated growth of a
+        hot ring costs the final ring size once instead of once per
+        growth step.
         """
         inner = ring.radius
         # Annulus growth makes small steps cheap, so grow just past the
@@ -830,21 +716,12 @@ class PackingEngine:
         # ring's shell costs more than an extra shell fetch.
         outer = min(max(inner * 1.3, target_radius * 1.05), ring.r_full)
         ring.radius = outer
-        if ring.rows is None:
-            # Slow (id-based) mode: refetch wholesale.
-            self._fetch(ring)
-            return
         self.stats.knn_queries += 1
-        shell = self.cost_space.within_rows(
+        _, rows = self.cost_space.within_rows(
             ring.center, outer, min_capacity=ring.min_value, inner_radius=inner
         )
-        if shell is None:
-            self._fetch(ring)
-            return
-        dists, rows = shell
-        if len(dists):
+        if len(rows):
             rows = np.asarray(rows, dtype=np.intp)
-            ring.dists = np.concatenate([ring.dists, dists])
             ring.rows = np.concatenate([ring.rows, rows])
             ring.points = np.concatenate(
                 [ring.points, self.cost_space.points_of_rows(rows)]

@@ -5,9 +5,11 @@ Wraps the exact :class:`~repro.geometry.kdtree.KdTree` and the approximate
 auto-selects the backend by topology size, as Phase III prescribes: exact
 search for small topologies, approximate for large ones.
 
-The index is incremental: nodes can be added (buffered and scanned linearly
-until a rebuild amortizes them into the tree) and removed (tombstoned),
-which is what makes Nova's re-optimization cheap.
+The index is incremental: nodes can be added and removed (tombstoned),
+which is what makes Nova's re-optimization cheap. An added node gets a row
+right after the tree's rows, so row-level queries and gathers treat it
+like any tree node; one vectorized scan covers these add-buffer rows until
+a rebuild amortizes them into the tree.
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ DEFAULT_EXACT_PROOF_LIMIT = 2000
 
 
 class NeighborIndex:
-    """Id-based k-NN index over cost-space coordinates."""
+    """Id-based k-NN index over cost-space coordinates.
+
+    Every node owns a *row*: rows ``[0, tree_rows)`` are the tree's, and
+    each node added since the last rebuild gets the next row after them
+    (its add-buffer row). Points and values live in rows-wide arrays, so
+    row-level queries (:meth:`within_rows`) and gathers
+    (:meth:`points_of_rows`, :attr:`value_array`) cover buffered nodes
+    too.
+    """
 
     def __init__(
         self,
@@ -56,13 +66,18 @@ class NeighborIndex:
         self._seed = seed
         self._rebuild_fraction = float(rebuild_fraction)
         self._exact_proof_limit = int(exact_proof_limit)
-        self._ids: List[str] = list(ids)
-        self._positions: Dict[str, np.ndarray] = {
-            node_id: points[i] for i, node_id in enumerate(self._ids)
-        }
         self._dims = points.shape[1]
+        # Row -> id for every row ever assigned since the last rebuild
+        # (retired rows keep their id; they are never returned), and id ->
+        # the node's current row, removed nodes included.
+        self._ids: List[str] = list(ids)
         self._index_of: Dict[str, int] = {node_id: i for i, node_id in enumerate(self._ids)}
-        self._extra: Dict[str, np.ndarray] = {}
+        self._tree_rows = len(self._ids)
+        # Rows-wide point and value arrays; capacity beyond len(_ids) is
+        # spare room for later additions.
+        self._points = points
+        # Buffered (added since the last rebuild) node -> its row.
+        self._extra: Dict[str, int] = {}
         self._removed: set = set()
         # Per-point scalar values (e.g. available capacity) enabling
         # filtered nearest-neighbour queries. Defaults to +inf: unfiltered.
@@ -88,84 +103,87 @@ class NeighborIndex:
         return self._backend_name
 
     def __len__(self) -> int:
-        return len(self._positions) - len(self._removed)
+        return len(self._index_of) - len(self._removed)
 
     def __contains__(self, node_id: object) -> bool:
-        return node_id in self._positions and node_id not in self._removed
+        return node_id in self._index_of and node_id not in self._removed
 
     def position(self, node_id: str) -> np.ndarray:
         """Coordinates of an indexed node."""
-        if node_id not in self._positions or node_id in self._removed:
+        row = self._index_of.get(node_id)
+        if row is None or node_id in self._removed:
             raise UnknownNodeError(node_id)
-        return self._positions[node_id]
+        return self._points[row]
 
     def positions_batch(self, node_ids: Sequence[str]) -> np.ndarray:
         """Coordinates of many nodes as one ``(n, d)`` array.
 
-        The hot path is a single fancy-index gather from the tree's
-        contiguous point matrix (one dict lookup per id, no per-id array
-        handling); ids living in the linear add-buffer or under churn fall
-        back to per-id resolution.
+        One fancy-index gather from the rows-wide point matrix (one dict
+        lookup per id), buffered nodes included; removed ids raise
+        :class:`UnknownNodeError`.
         """
         if not node_ids:
             return np.empty((0, self._dims))
-        if not self._extra and not self._removed:
-            index_of = self._index_of
-            try:
-                rows = np.fromiter(
-                    (index_of[nid] for nid in node_ids),
-                    dtype=np.intp,
-                    count=len(node_ids),
-                )
-            except KeyError as error:
-                raise UnknownNodeError(str(error.args[0])) from None
-            return self._tree.points[rows]
-        return np.vstack([self.position(nid) for nid in node_ids])
-
-    @property
-    def value_array(self) -> np.ndarray:
-        """Read-only view of the per-row scalar values (tree rows only).
-
-        Rows follow :meth:`rows`; buffered additions are not covered.
-        Callers caching row indices must drop them when the index mutates
-        (the cost space's mutation epoch signals this).
-        """
-        view = self._value_array.view()
-        view.flags.writeable = False
-        return view
-
-    def rows(self, node_ids: Sequence[str]) -> np.ndarray:
-        """Tree-row indices of the given nodes (for vectorized value reads).
-
-        Only valid for ids currently in the tree (not buffered, not
-        removed); raises :class:`UnknownNodeError` otherwise.
-        """
         index_of = self._index_of
         try:
             rows = np.fromiter(
-                (index_of[nid] for nid in node_ids), dtype=np.intp, count=len(node_ids)
+                (index_of[nid] for nid in node_ids),
+                dtype=np.intp,
+                count=len(node_ids),
             )
         except KeyError as error:
             raise UnknownNodeError(str(error.args[0])) from None
-        if self._removed and any(nid in self._removed for nid in node_ids):
-            raise UnknownNodeError("removed node in rows() request")
-        return rows
+        if self._removed and not self._removed.isdisjoint(node_ids):
+            raise UnknownNodeError(next(nid for nid in node_ids if nid in self._removed))
+        return self._points[rows]
+
+    @property
+    def value_array(self) -> np.ndarray:
+        """Read-only view of the per-row scalar values, buffered rows included.
+
+        Rows follow :meth:`node_id_of_row`. Callers caching row indices
+        must drop them when the index mutates (the cost space's mutation
+        epoch signals this).
+        """
+        view = self._value_array[: len(self._ids)]
+        view.flags.writeable = False
+        return view
+
+    def _buffer_rows(self) -> np.ndarray:
+        """Rows of the live buffered nodes."""
+        return np.fromiter(self._extra.values(), dtype=np.intp, count=len(self._extra))
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Axis-aligned (lower, upper) bounds over the indexed points.
 
-        Computed vectorized over the tree's point matrix plus the add
-        buffer; tombstoned points are included, which only widens the box
-        (callers use it to size spatial buckets, not for exact geometry).
+        Computed vectorized over the tree's point matrix plus the live
+        buffered rows; tombstoned tree points are included, which only
+        widens the box (callers use it to size spatial buckets, not for
+        exact geometry).
         """
         points = self._tree.points
         lower = points.min(axis=0)
         upper = points.max(axis=0)
         if self._extra:
-            extra = np.vstack(list(self._extra.values()))
+            extra = self._points[self._buffer_rows()]
             lower = np.minimum(lower, extra.min(axis=0))
             upper = np.maximum(upper, extra.max(axis=0))
         return lower, upper
+
+    def _append_row(self, node_id: str, point: np.ndarray) -> None:
+        """Give a node the next add-buffer row."""
+        row = len(self._ids)
+        if row == len(self._points):
+            # Grow geometrically: a run of additions stays amortized O(1)
+            # per node instead of copying every row on every add.
+            grow = max(row // 2, 16)
+            self._points = np.concatenate([self._points, np.empty((grow, self._dims))])
+            self._value_array = np.concatenate([self._value_array, np.full(grow, -np.inf)])
+        self._points[row] = point
+        self._value_array[row] = self._values.get(node_id, np.inf)
+        self._ids.append(node_id)
+        self._index_of[node_id] = row
+        self._extra[node_id] = row
 
     def add(self, node_id: str, point: Sequence[float]) -> None:
         """Add (or re-add) a node; buffered until the next rebuild."""
@@ -174,35 +192,30 @@ class NeighborIndex:
             raise OptimizationError(
                 f"point has shape {point.shape}, expected ({self._dims},)"
             )
-        if node_id in self._removed:
-            self._removed.discard(node_id)
-            self._positions[node_id] = point
-            if node_id in self._index_of:
-                self._tree.restore(self._index_of[node_id])
-                # Coordinates may have drifted; track the fresh position in
-                # the linear buffer and tombstone the stale tree entry.
-                if not np.allclose(self._tree.points[self._index_of[node_id]], point):
-                    self._tree.delete(self._index_of[node_id])
-                    self._extra[node_id] = point
-            else:
-                self._extra[node_id] = point
-        elif node_id in self._positions:
+        row = self._index_of.get(node_id)
+        if row is not None and node_id not in self._removed:
             raise OptimizationError(f"node {node_id!r} already indexed")
+        self._removed.discard(node_id)
+        if row is not None and row < self._tree_rows and np.array_equal(self._points[row], point):
+            # Back at its tree coordinates (a rollback): revive the row.
+            self._tree.restore(row)
         else:
-            self._positions[node_id] = point
-            self._extra[node_id] = point
-        if len(self._extra) > self._rebuild_fraction * max(len(self._positions), 1):
+            # New, or drifted away from its tree row, which stays tombstoned.
+            self._append_row(node_id, point)
+        if len(self._extra) > self._rebuild_fraction * max(len(self._index_of), 1):
             self.rebuild()
 
     def remove(self, node_id: str) -> None:
         """Tombstone a node so queries skip it."""
-        if node_id not in self._positions or node_id in self._removed:
+        if node_id not in self:
             raise UnknownNodeError(node_id)
         self._removed.add(node_id)
-        if node_id in self._extra:
-            del self._extra[node_id]
-        elif node_id in self._index_of:
-            self._tree.delete(self._index_of[node_id])
+        row = self._index_of[node_id]
+        if self._extra.pop(node_id, None) is not None:
+            # Retire the buffered row: it never qualifies again.
+            self._value_array[row] = -np.inf
+        else:
+            self._tree.delete(row)
 
     def update(self, node_id: str, point: Sequence[float]) -> None:
         """Move a node to new coordinates (remove + add)."""
@@ -211,27 +224,32 @@ class NeighborIndex:
 
     def set_value(self, node_id: str, value: float) -> None:
         """Attach a scalar (e.g. available capacity) used by filtered queries."""
-        if node_id not in self._positions:
+        row = self._index_of.get(node_id)
+        if row is None:
             raise UnknownNodeError(node_id)
-        self._values[node_id] = float(value)
-        index = self._index_of.get(node_id)
-        if index is not None:
-            self._value_array[index] = float(value)
-            self._tree.set_value(index, float(value))
+        value = float(value)
+        self._values[node_id] = value
+        self._value_array[row] = value
+        if row < self._tree_rows:
+            self._tree.set_value(row, value)
 
     def value(self, node_id: str) -> float:
         """The scalar attached to a node (+inf when never set)."""
         return self._values.get(node_id, float("inf"))
 
     def rebuild(self) -> None:
-        """Fold buffered additions and removals into a fresh tree."""
-        live = [nid for nid in self._positions if nid not in self._removed]
+        """Fold buffered rows and removals into a fresh, compact tree."""
+        live = [nid for nid in self._index_of if nid not in self._removed]
         if not live:
             raise OptimizationError("cannot rebuild an empty index")
-        points = np.vstack([self._positions[nid] for nid in live])
+        rows = np.fromiter(
+            (self._index_of[nid] for nid in live), dtype=np.intp, count=len(live)
+        )
+        points = self._points[rows]
         self._ids = live
         self._index_of = {nid: i for i, nid in enumerate(live)}
-        self._positions = {nid: points[i] for i, nid in enumerate(live)}
+        self._tree_rows = len(live)
+        self._points = points
         self._extra = {}
         self._removed = set()
         self._values = {nid: v for nid, v in self._values.items() if nid in self._index_of}
@@ -290,22 +308,22 @@ class NeighborIndex:
                 if node_id in exclude or node_id in self._removed or node_id in self._extra:
                     continue
                 results.append((node_id, float(dist)))
-        for node_id, point in self._extra.items():
+        for node_id, row in self._extra.items():
             if node_id in exclude:
                 continue
             if min_value is not None and self.value(node_id) < min_value:
                 continue
-            results.append((node_id, float(np.linalg.norm(point - target))))
+            results.append((node_id, float(np.linalg.norm(self._points[row] - target))))
         results.sort(key=lambda pair: pair[1])
         return results[:k]
 
     def node_id_of_row(self, row: int) -> str:
-        """Translate a tree row (see :meth:`rows`) back to its node id."""
+        """Translate a row (tree or add-buffer) back to its node id."""
         return self._ids[int(row)]
 
     def points_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Coordinates of the given tree rows as one ``(n, d)`` gather."""
-        return self._tree.points[rows]
+        """Coordinates of the given rows as one ``(n, d)`` gather."""
+        return self._points[rows]
 
     def within_rows(
         self,
@@ -313,21 +331,36 @@ class NeighborIndex:
         radius: float,
         min_value: Optional[float] = None,
         inner_radius: float = 0.0,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Row-level radius query: (distances, rows) sorted by distance.
 
-        The zero-copy fast path behind :meth:`within`: results stay numpy
-        arrays end to end (no per-id translation), which is what the
-        packing engine's rings consume. ``inner_radius`` restricts the
-        result to the annulus beyond it (incremental ring growth).
-        Returns ``None`` when buffered additions would make the tree-only
-        answer incomplete — callers fall back to :meth:`within`.
+        Complete over every live node: the tree's answer merged with one
+        vectorized scan of the add-buffer rows under the same filters
+        (ball, ``min_value``, and the annulus beyond ``inner_radius`` used
+        for incremental ring growth). Results stay numpy arrays end to end
+        (no per-id translation), which is what the packing engine's rings
+        consume.
         """
-        if self._extra:
-            return None
-        return self._tree.within_radius(
+        target = np.asarray(target, dtype=float)
+        dists, rows = self._tree.within_radius(
             target, radius, min_value=min_value, inner_radius=inner_radius
         )
+        if not self._extra:
+            return dists, rows
+        buffered = self._buffer_rows()
+        diff = self._points[buffered] - target
+        dist2 = np.einsum("ij,ij->i", diff, diff)
+        mask = dist2 <= float(radius) * float(radius)
+        if inner_radius > 0.0:
+            mask &= dist2 > float(inner_radius) * float(inner_radius)
+        if min_value is not None:
+            mask &= self._value_array[buffered] >= min_value
+        if not mask.any():
+            return dists, rows
+        dists = np.concatenate([dists, np.sqrt(dist2[mask])])
+        rows = np.concatenate([rows, buffered[mask]])
+        order = np.argsort(dists, kind="stable")
+        return dists[order], rows[order]
 
     def within(
         self,
@@ -337,56 +370,10 @@ class NeighborIndex:
     ) -> List[Tuple[str, float]]:
         """All live nodes within ``radius`` as (id, distance), by distance.
 
-        Complete on both backends (the annoy forest enumerates one tree
-        exactly), with ``min_value`` pruning saturated subtrees via the
-        capacity bounds. This is what materializes the packing engine's
-        shared neighbourhood rings in one vectorized pass instead of a
-        k-NN search with its minimality proof.
+        :meth:`within_rows` with the rows translated to ids. Complete on
+        both backends (the annoy forest enumerates one tree exactly), with
+        ``min_value`` pruning saturated subtrees via the capacity bounds.
         """
-        target = np.asarray(target, dtype=float)
-        results: List[Tuple[str, float]] = []
-        if len(self._index_of) > 0:
-            distances, indices = self._tree.within_radius(
-                target, radius, min_value=min_value
-            )
-            for dist, idx in zip(distances, indices):
-                node_id = self._ids[int(idx)]
-                if node_id in self._removed or node_id in self._extra:
-                    continue
-                results.append((node_id, float(dist)))
-        for node_id, point in self._extra.items():
-            if min_value is not None and self.value(node_id) < min_value:
-                continue
-            dist = float(np.linalg.norm(point - target))
-            if dist <= radius:
-                results.append((node_id, dist))
-        results.sort(key=lambda pair: pair[1])
-        return results
-
-    def query_batch(
-        self,
-        target: Sequence[float],
-        k: int,
-        exclude: Optional[set] = None,
-        min_value: Optional[float] = None,
-    ) -> Tuple[List[Tuple[str, float]], bool]:
-        """One over-fetched neighbourhood plus an exhaustion flag.
-
-        Returns ``(results, exhausted)`` where ``exhausted`` is true when
-        the index holds no further qualifying nodes beyond the returned
-        ones — i.e. fewer than ``k`` nodes passed the filters. Callers that
-        stream a neighbourhood (Phase III walks the partition grid reusing
-        one batch for many consecutive cells) use the flag to stop
-        re-querying with ever larger ``k``.
-
-        The batch is fetched approximately (first k qualifying nodes in
-        best-first order): Phase III wants *a* nearby host with capacity,
-        and skipping the minimality proof avoids re-scanning the boundary
-        of the saturated region around a popular virtual position on every
-        query. Exhaustion stays exact — a short result implies the search
-        drained the whole index.
-        """
-        results = self.query(
-            target, k, exclude=exclude, min_value=min_value, approximate=True
-        )
-        return results, len(results) < k
+        dists, rows = self.within_rows(target, radius, min_value=min_value)
+        ids = self._ids
+        return [(ids[row], dist) for dist, row in zip(dists.tolist(), rows.tolist())]

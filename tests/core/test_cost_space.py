@@ -126,77 +126,6 @@ class TestLiveMaintenance:
         assert results[0][0] == "b"
 
 
-class TestNeighborhoodCursor:
-    def make_space(self, n=40, seed=0):
-        rng = np.random.default_rng(seed)
-        coords = {f"n{i}": rng.uniform(0, 100, 2) for i in range(n)}
-        return CostSpace(coords), coords
-
-    def test_streams_nearest_first(self):
-        space, coords = self.make_space()
-        available = {nid: 10.0 for nid in coords}
-        cursor = space.neighborhood([50.0, 50.0], threshold=5.0)
-        first = cursor.next_host(available)
-        expected = min(
-            coords, key=lambda nid: float(np.linalg.norm(coords[nid] - [50.0, 50.0]))
-        )
-        assert first == expected
-
-    def test_reuses_host_until_capacity_consumed(self):
-        space, coords = self.make_space()
-        available = {nid: 0.0 for nid in coords}
-        available["n3"] = 10.0
-        available["n7"] = 10.0
-        cursor = space.neighborhood([50.0, 50.0], threshold=5.0)
-        first = cursor.next_host(available)
-        assert first in ("n3", "n7")
-        # Still above threshold: the cached batch answers without a new
-        # index search, returning the same host.
-        queries_before = cursor.queries
-        assert cursor.next_host(available) == first
-        assert cursor.queries == queries_before
-        # Consume it; the cursor moves on and never returns to it.
-        available[first] = 1.0
-        second = cursor.next_host(available)
-        assert second in ("n3", "n7") and second != first
-
-    def test_goes_dry_and_stays_dry(self):
-        space, coords = self.make_space(n=6)
-        available = {nid: 1.0 for nid in coords}
-        cursor = space.neighborhood([50.0, 50.0], threshold=5.0)
-        assert cursor.next_host(available) is None
-        # Dryness is remembered: no further index searches are issued.
-        queries = cursor.queries
-        assert cursor.next_host(available) is None
-        assert cursor.queries == queries
-
-    def test_batches_amortize_queries(self):
-        space, coords = self.make_space(n=60)
-        available = {nid: 10.0 for nid in coords}
-        cursor = space.neighborhood([50.0, 50.0], threshold=5.0)
-        hosts = []
-        for _ in range(12):
-            host = cursor.next_host(available)
-            assert host is not None
-            available[host] = 0.0  # exhaust it so the next call advances
-            hosts.append(host)
-        assert len(set(hosts)) == 12
-        # 12 hosts served by a handful of doubling fetches, not 12 queries.
-        assert cursor.queries <= 4
-
-    def test_live_availability_consulted(self):
-        """Capacity consumed after the batch was fetched must be seen."""
-        space, coords = self.make_space()
-        available = {nid: 10.0 for nid in coords}
-        cursor = space.neighborhood([50.0, 50.0], threshold=5.0)
-        first = cursor.next_host(available)
-        # Drain the first host *without* telling the index (plain dict
-        # write): the cursor must still skip it on the next request.
-        available = dict(available)
-        available[first] = 0.0
-        assert cursor.next_host(available) != first
-
-
 class TestMutationEpoch:
     def make_space(self, n=20):
         coords = {f"n{i}": np.array([float(i), 0.0]) for i in range(n)}

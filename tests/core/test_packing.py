@@ -190,8 +190,8 @@ class TestWrapperCompatibility:
 # -- brute-force nearest-host oracle -------------------------------------
 LEG_RING = "ring"
 LEG_DIRECT = "direct"
-LEG_SCANNED = "scanned"
-LEGS = (LEG_RING, LEG_DIRECT, LEG_SCANNED)
+LEG_BUFFERED = "buffered"
+LEGS = (LEG_RING, LEG_DIRECT, LEG_BUFFERED)
 
 # (kind, seed). "clustered" nodes sit in a few blobs with generous room;
 # "tight" uses the same blobs with too little room, so the spread
@@ -326,6 +326,32 @@ def brute_force_pack(coords, capacities, jobs, config):
     return placed, ledger
 
 
+def churn_before_packing(coords, capacities, jobs, config):
+    """A cost space whose index holds add-buffer rows when packing starts.
+
+    About a tenth of the nodes enter after the build; one tree node is
+    re-added at drifted coordinates (next to the first replica, so it is
+    likely to host), and one buffered node is removed again while its
+    capacity stays in the ledger. Returns the cost space, the live
+    coordinates the oracle must search, and the ids that sit in the
+    add-buffer.
+    """
+    ids = sorted(coords)
+    late = ids[::10]
+    drifted, removed = ids[5], late[1]
+    cost_space = CostSpace({k: v for k, v in coords.items() if k not in late}, config)
+    for node_id in late:
+        cost_space.restore_node(node_id, coords[node_id])
+    live = dict(coords)
+    live[drifted] = np.asarray(jobs[0][1], dtype=float) + 0.25
+    cost_space.remove_node(drifted)
+    cost_space.restore_node(drifted, live[drifted])
+    cost_space.remove_node(removed)
+    del live[removed]
+    buffered = (set(late) - {removed}) | {drifted}
+    return cost_space, live, buffered
+
+
 def count_calls(monkeypatch, name):
     calls = {"n": 0}
     original = getattr(packing._RingView, name)
@@ -349,20 +375,23 @@ class TestNearestHostOracle:
         paths = {
             LEG_RING: "_nearest_screened",
             LEG_DIRECT: "_nearest_direct",
-            LEG_SCANNED: "_nearest_scanned",
+            LEG_BUFFERED: "_nearest_screened",
         }
         calls = count_calls(monkeypatch, paths[leg])
+        fetched = []
+        fetch = PackingEngine._fetch
+
+        def recording_fetch(self, ring):
+            fetched.append(ring)
+            fetch(self, ring)
+
+        monkeypatch.setattr(PackingEngine, "_fetch", recording_fetch)
         if leg == LEG_DIRECT:
             monkeypatch.setattr(packing, "_DIRECT_QUERY_MIN", 16)
-        if leg == LEG_SCANNED:
-            # About a tenth of the nodes enter after the build and sit in
-            # the index's add-buffer, so rings carry no tree rows.
-            late = sorted(coords)[::10]
-            cost_space = CostSpace(
-                {k: v for k, v in coords.items() if k not in late}, config
+        if leg == LEG_BUFFERED:
+            cost_space, coords, buffered = churn_before_packing(
+                coords, capacities, jobs, config
             )
-            for node_id in late:
-                cost_space.restore_node(node_id, coords[node_id])
         else:
             cost_space = CostSpace(coords, config)
         available = AvailabilityLedger(cost_space, backing=dict(capacities))
@@ -377,5 +406,61 @@ class TestNearestHostOracle:
             assert outcome.overload_accepted == overload
         assert dict(available) == ledger
         assert calls["n"] > 0, f"the {leg} leg never ran {paths[leg]}"
+        assert fetched
+        for ring in fetched:
+            assert ring.rows.dtype == np.intp and len(ring.rows) == len(ring.points)
+        if leg == LEG_BUFFERED:
+            # Buffered nodes reach the rings as rows, not through a detour.
+            ring_ids = {
+                cost_space.node_id_of_row(row) for ring in fetched for row in ring.rows
+            }
+            assert ring_ids & buffered
         if kind == "tight":
             assert any(outcome.overload_accepted for outcome in outcomes)
+
+
+class TestChurnedSessionStaysOnRows:
+    """Churn must not push a session's rings off the row-based path."""
+
+    def test_rings_keep_rows_after_add_and_drift(self, monkeypatch):
+        from repro.core.optimizer import Nova
+        from repro.topology.dynamics import AddWorkerEvent, CoordinateDriftEvent
+        from repro.topology.latency import DenseLatencyMatrix
+        from repro.workloads.synthetic import synthetic_opp_workload
+
+        workload = synthetic_opp_workload(300, seed=3)
+        latency = DenseLatencyMatrix.from_topology(workload.topology)
+        session = Nova(NovaConfig(seed=3)).optimize(
+            workload.topology, workload.plan, workload.matrix, latency=latency
+        )
+        hosts = sorted({sub.node_id for sub in session.placement.sub_replicas})
+        anchors = session.topology.node_ids[:12]
+
+        def sample(anchor):
+            return {
+                nid: latency.latency(anchor, nid) + 1.0 for nid in anchors if nid != anchor
+            }
+
+        fetched = []
+        fetch = PackingEngine._fetch
+
+        def recording_fetch(self, ring):
+            fetched.append(ring)
+            fetch(self, ring)
+
+        monkeypatch.setattr(PackingEngine, "_fetch", recording_fetch)
+        calls = count_calls(monkeypatch, "_nearest_screened")
+        session.apply(
+            [
+                AddWorkerEvent("late-worker", 500.0, sample(anchors[0])),
+                CoordinateDriftEvent(hosts[0], sample(hosts[0])),
+                CoordinateDriftEvent(hosts[-1], sample(hosts[-1])),
+            ]
+        )
+        assert "late-worker" in session.cost_space
+        assert fetched, "the churned pack fetched no ring"
+        assert calls["n"] > 0
+        for ring in fetched:
+            assert ring.rows is not None and len(ring.rows) == len(ring.points)
+        for ring in session.engine._rings.values():
+            assert ring.rows is not None
